@@ -270,15 +270,12 @@ impl Coordinator {
     /// don't parse far enough to name a pair go to shard 0, whose error
     /// response matches what a single node would say.
     fn route_to_owner(&self, req: &Request) -> Response {
-        let owner = self.owner_of(req).unwrap_or(0);
+        let owner = req
+            .body_text()
+            .ok()
+            .and_then(|body| owner_of(&self.ring, body))
+            .unwrap_or(0);
         self.proxy(owner, req)
-    }
-
-    fn owner_of(&self, req: &Request) -> Option<usize> {
-        let doc = json::parse(req.body_text().ok()?).ok()?;
-        let source = doc.get("source")?.as_str()?;
-        let target = doc.get("target")?.as_str()?;
-        Some(self.ring.shard_for(source, target))
     }
 
     /// `/ingest`: small batches forward whole to the owner; batches of
@@ -657,6 +654,27 @@ fn canonical_header(lower: &str) -> String {
     out
 }
 
+/// The shard owning the pair a `/crosswalk` body names, or `None` when
+/// the body does not parse or names no pair. A byte scan reads the
+/// top-level `"source"` and `"target"` without decoding the (large)
+/// attribute columns; on anything the scan cannot vouch for, the full
+/// parse decides, so the owner is always the one the parse would name.
+fn owner_of(ring: &HashRing, body: &str) -> Option<usize> {
+    match json::scan_str_fields(body, ["source", "target"]) {
+        Some([source, target]) => Some(ring.shard_for(source, target)),
+        None => owner_by_parse(ring, body),
+    }
+}
+
+/// [`owner_of`] by a full parse: the fallback, and the reference the
+/// scan is tested against.
+fn owner_by_parse(ring: &HashRing, body: &str) -> Option<usize> {
+    let doc = json::parse(body).ok()?;
+    let source = doc.get("source")?.as_str()?;
+    let target = doc.get("target")?.as_str()?;
+    Some(ring.shard_for(source, target))
+}
+
 /// Decodes the `state` field of an `/ingest/partial` response.
 fn parse_partial_state(resp: &ClientResponse) -> Result<AggState, String> {
     let doc = json::parse(&resp.body_text()).map_err(|e| format!("unparseable body: {e:?}"))?;
@@ -699,6 +717,203 @@ fn hex_decode(text: &str) -> Option<Vec<u8>> {
 mod tests {
     use super::*;
     use geoalign_serve::{Server, ServerConfig};
+    use proptest::prelude::*;
+
+    /// SplitMix64: one proptest seed drives a whole generated body. A
+    /// clean generator emits only tokens the scan accepts; a dirty one
+    /// also emits tokens it must refuse (escapes it does not decode,
+    /// numbers and literals `parse` rejects or accepts off-grammar).
+    struct Gen {
+        state: u64,
+        dirty: bool,
+    }
+
+    impl Gen {
+        fn new(seed: u64) -> Gen {
+            Gen {
+                state: seed,
+                dirty: seed % 2 == 1,
+            }
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
+            items[self.below(items.len())]
+        }
+
+        /// Picks from `clean`, or from `clean` and `bad` when dirty.
+        fn token<'a>(&mut self, clean: &[&'a str], bad: &[&'a str]) -> &'a str {
+            let n = clean.len() + if self.dirty { bad.len() } else { 0 };
+            let i = self.below(n);
+            clean
+                .get(i)
+                .copied()
+                .unwrap_or_else(|| bad[i - clean.len()])
+        }
+
+        fn ws(&mut self) -> &'static str {
+            self.pick(&["", "", " ", "\n\t", "\r\n  "])
+        }
+
+        /// A string token: plain, with escapes the scan skips or
+        /// refuses, non-ASCII, or broken.
+        fn string(&mut self) -> String {
+            let raw = self.token(
+                &[
+                    "zip", "county", "tract", "", "a\\\"b", "x\\/y", "s\\n", "é世",
+                ],
+                &["\\u0041", "\\q", "tab\t"],
+            );
+            format!("\"{raw}\"")
+        }
+
+        fn value(&mut self, depth: usize) -> String {
+            let kind = if depth == 0 {
+                self.below(3)
+            } else {
+                self.below(5)
+            };
+            match kind {
+                0 => self
+                    .token(
+                        &["0", "-1.5", "2e10", "1E-3", "42", "-0", "3.25e+2"],
+                        &["01", ".5", "+1", "-", "1e", "1.", "2-3"],
+                    )
+                    .to_owned(),
+                1 => self.string(),
+                2 => self
+                    .token(&["true", "false", "null"], &["nul", "True"])
+                    .to_owned(),
+                3 => {
+                    let items: Vec<String> = (0..self.below(4))
+                        .map(|_| format!("{}{}{}", self.ws(), self.value(depth - 1), self.ws()))
+                        .collect();
+                    format!("[{}]", items.join(","))
+                }
+                _ => self.object(depth - 1, false),
+            }
+        }
+
+        /// An object of a few members; at the top level, keys lean
+        /// towards `source` and `target` (duplicates and look-alikes
+        /// included) and their values towards plain strings.
+        fn object(&mut self, depth: usize, top: bool) -> String {
+            let count = if top {
+                2 + self.below(4)
+            } else {
+                self.below(4)
+            };
+            let members: Vec<String> = (0..count)
+                .map(|_| {
+                    let key = if top {
+                        self.token(
+                            &[
+                                "\"source\"",
+                                "\"target\"",
+                                "\"source\"",
+                                "\"target\"",
+                                "\"attributes\"",
+                                "\"Source\"",
+                            ],
+                            &["\"sour\\u0063e\"", "\"tar\\/get\""],
+                        )
+                        .to_owned()
+                    } else {
+                        self.string()
+                    };
+                    let value = if top && key.len() == 8 && self.below(8) > 0 {
+                        format!("\"{}\"", self.pick(&["zip", "county", "tract", "", "é世"]))
+                    } else {
+                        self.value(depth)
+                    };
+                    format!(
+                        "{}{key}{}:{}{value}{}",
+                        self.ws(),
+                        self.ws(),
+                        self.ws(),
+                        self.ws()
+                    )
+                })
+                .collect();
+            format!("{{{}}}", members.join(","))
+        }
+
+        /// A top-level body, sometimes truncated or with one ASCII byte
+        /// overwritten.
+        fn body(&mut self) -> String {
+            let mut body = format!("{}{}{}", self.ws(), self.object(3, true), self.ws());
+            match self.below(6) {
+                0 => {
+                    let mut cut = self.below(body.len() + 1);
+                    while !body.is_char_boundary(cut) {
+                        cut -= 1;
+                    }
+                    body.truncate(cut);
+                }
+                1 => {
+                    let at = self.below(body.len());
+                    if body.as_bytes()[at].is_ascii() {
+                        let with =
+                            self.pick(&["\"", "\\", ",", ":", "{", "}", "[", "]", " ", "x", "0"]);
+                        body.replace_range(at..at + 1, with);
+                    }
+                }
+                _ => {}
+            }
+            body
+        }
+    }
+
+    fn test_ring() -> HashRing {
+        HashRing::new(&["s0".to_owned(), "s1".to_owned(), "s2".to_owned()])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+        #[test]
+        fn routing_scan_agrees_with_the_full_parse(seed in 0u64..u64::MAX) {
+            let ring = test_ring();
+            let body = Gen::new(seed).body();
+            let by_parse = owner_by_parse(&ring, &body);
+            if let Some([source, target]) = json::scan_str_fields(&body, ["source", "target"]) {
+                let scanned = Some(ring.shard_for(source, target));
+                prop_assert!(scanned == by_parse, "scan {scanned:?} != parse {by_parse:?}: {body}");
+            }
+            let routed = owner_of(&ring, &body);
+            prop_assert!(routed == by_parse, "route {routed:?} != parse {by_parse:?}: {body}");
+        }
+    }
+
+    #[test]
+    fn routing_scan_generator_covers_both_outcomes() {
+        // The property above is only as good as its bodies: many must be
+        // decided by the scan, and many must fall back, some of them to
+        // shard 0 because they do not parse.
+        let ring = test_ring();
+        let (mut decided, mut fell_back, mut malformed) = (0, 0, 0);
+        for seed in 0..2000 {
+            let body = Gen::new(seed).body();
+            if json::scan_str_fields(&body, ["source", "target"]).is_some() {
+                decided += 1;
+            } else {
+                fell_back += 1;
+                if json::parse(&body).is_err() {
+                    malformed += 1;
+                    assert_eq!(owner_of(&ring, &body), None, "{body}");
+                }
+            }
+        }
+        assert!(decided >= 200, "only {decided} bodies decided by the scan");
+        assert!(fell_back >= 200, "only {fell_back} bodies fell back");
+        assert!(malformed >= 100, "only {malformed} malformed bodies");
+    }
 
     fn spawn_shard() -> Server {
         Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap()

@@ -13,6 +13,7 @@
 use crate::align::GeoAlign;
 use crate::error::CoreError;
 use crate::reference::ReferenceData;
+use crate::store::fingerprint_references;
 use geoalign_partition::{AggregateTable, AggregateVector, UnitIndex};
 use std::collections::HashMap;
 
@@ -20,6 +21,23 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 struct SystemEntry {
     index: UnitIndex,
+}
+
+/// The references registered for one `(source, target)` pair, with the
+/// pair's reference-set fingerprint memoized: it is recomputed only when
+/// the list changes, so a cache lookup never re-walks the references.
+#[derive(Debug, Default)]
+struct PairReferences {
+    refs: Vec<ReferenceData>,
+    /// [`fingerprint_references`] of `refs`.
+    fingerprint: u64,
+}
+
+impl PairReferences {
+    fn refresh_fingerprint(&mut self) {
+        let refs: Vec<&ReferenceData> = self.refs.iter().collect();
+        self.fingerprint = fingerprint_references(&refs);
+    }
 }
 
 /// A table realigned (or passed through) to the target system, with its
@@ -92,7 +110,7 @@ fn push_csv_field(out: &mut String, field: &str) {
 pub struct IntegrationPipeline {
     systems: HashMap<String, SystemEntry>,
     /// References keyed by `(source system, target system)`.
-    references: HashMap<(String, String), Vec<ReferenceData>>,
+    references: HashMap<(String, String), PairReferences>,
     aligner: GeoAlign,
 }
 
@@ -133,26 +151,13 @@ impl IntegrationPipeline {
         target: &str,
         reference: ReferenceData,
     ) -> Result<(), CoreError> {
-        let s = self.system(source)?;
-        let t = self.system(target)?;
-        if reference.n_source() != s.index.len() {
-            return Err(CoreError::SourceMismatch {
-                objective: s.index.len(),
-                reference: reference.n_source(),
-                name: reference.name().to_owned(),
-            });
-        }
-        if reference.n_target() != t.index.len() {
-            return Err(CoreError::TargetMismatch {
-                left: t.index.len(),
-                right: reference.n_target(),
-                name: reference.name().to_owned(),
-            });
-        }
-        self.references
+        self.check_dimensions(source, target, &reference)?;
+        let pair = self
+            .references
             .entry((source.to_owned(), target.to_owned()))
-            .or_default()
-            .push(reference);
+            .or_default();
+        pair.refs.push(reference);
+        pair.refresh_fingerprint();
         Ok(())
     }
 
@@ -168,6 +173,28 @@ impl IntegrationPipeline {
         target: &str,
         position: usize,
         reference: ReferenceData,
+    ) -> Result<(), CoreError> {
+        self.check_dimensions(source, target, &reference)?;
+        let key = (source.to_owned(), target.to_owned());
+        let pair = self
+            .references
+            .get_mut(&key)
+            .filter(|pair| position < pair.refs.len())
+            .ok_or_else(|| CoreError::UnknownReference {
+                name: format!("{source} -> {target} reference #{position}"),
+            })?;
+        pair.refs[position] = reference;
+        pair.refresh_fingerprint();
+        Ok(())
+    }
+
+    /// Checks that `reference` spans the registered `source` and `target`
+    /// systems.
+    fn check_dimensions(
+        &self,
+        source: &str,
+        target: &str,
+        reference: &ReferenceData,
     ) -> Result<(), CoreError> {
         let s = self.system(source)?;
         let t = self.system(target)?;
@@ -185,21 +212,19 @@ impl IntegrationPipeline {
                 name: reference.name().to_owned(),
             });
         }
-        let key = (source.to_owned(), target.to_owned());
-        let slot = self
-            .references
-            .get_mut(&key)
-            .and_then(|refs| refs.get_mut(position))
-            .ok_or_else(|| CoreError::UnknownReference {
-                name: format!("{source} -> {target} reference #{position}"),
-            })?;
-        *slot = reference;
         Ok(())
     }
 
     /// The registered unit identifiers of `system`.
     pub fn unit_ids(&self, system: &str) -> Result<&[String], CoreError> {
         Ok(self.system(system)?.index.ids())
+    }
+
+    /// The id → index map of `system`: resolves a unit name in O(1) to
+    /// the same index a scan of [`IntegrationPipeline::unit_ids`] finds
+    /// (duplicate ids collapse to their first occurrence).
+    pub fn unit_index(&self, system: &str) -> Result<&UnitIndex, CoreError> {
+        Ok(&self.system(system)?.index)
     }
 
     /// Number of references registered for the `(source, target)` pair.
@@ -210,9 +235,20 @@ impl IntegrationPipeline {
     /// The references registered for the `(source, target)` pair, in
     /// registration order; empty when the pair has no crosswalk.
     pub fn references(&self, source: &str, target: &str) -> &[ReferenceData] {
-        self.references
-            .get(&(source.to_owned(), target.to_owned()))
-            .map_or(&[], Vec::as_slice)
+        self.pair(source, target)
+            .map_or(&[], |pair| pair.refs.as_slice())
+    }
+
+    /// [`fingerprint_references`] of the `(source, target)` pair's
+    /// current references, memoized at registration: an O(1) read that
+    /// keys the prepared-crosswalk cache. `None` when the pair has no
+    /// crosswalk.
+    pub fn fingerprint(&self, source: &str, target: &str) -> Option<u64> {
+        self.pair(source, target).map(|pair| pair.fingerprint)
+    }
+
+    fn pair(&self, source: &str, target: &str) -> Option<&PairReferences> {
+        self.references.get(&(source.to_owned(), target.to_owned()))
     }
 
     /// Whether a unit system is registered under `name`.
@@ -298,14 +334,12 @@ impl IntegrationPipeline {
                 weights: None,
             });
         }
-        let key = (system_name.to_owned(), target_system.to_owned());
-        let refs = self
-            .references
-            .get(&key)
-            .ok_or_else(|| CoreError::UnknownReference {
-                name: format!("crosswalk {system_name} -> {target_system}"),
-            })?;
-        let ref_slices: Vec<&ReferenceData> = refs.iter().collect();
+        let pair =
+            self.pair(system_name, target_system)
+                .ok_or_else(|| CoreError::UnknownReference {
+                    name: format!("crosswalk {system_name} -> {target_system}"),
+                })?;
+        let ref_slices: Vec<&ReferenceData> = pair.refs.iter().collect();
         let result = self.aligner.estimate(&vector, &ref_slices)?;
         Ok(AlignedColumn {
             attribute: table.attribute.clone(),

@@ -45,10 +45,22 @@ impl CrosswalkKey {
         target: impl Into<String>,
         refs: &[&ReferenceData],
     ) -> Self {
+        Self::with_fingerprint(source, target, fingerprint_references(refs))
+    }
+
+    /// Key for `source → target` over a reference set whose
+    /// [`fingerprint_references`] is already known — e.g. the value
+    /// [`IntegrationPipeline::fingerprint`](crate::IntegrationPipeline::fingerprint)
+    /// memoizes at registration, which keeps cache hits O(1).
+    pub fn with_fingerprint(
+        source: impl Into<String>,
+        target: impl Into<String>,
+        fingerprint: u64,
+    ) -> Self {
         CrosswalkKey {
             source: source.into(),
             target: target.into(),
-            fingerprint: fingerprint_references(refs),
+            fingerprint,
         }
     }
 }

@@ -424,6 +424,230 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Jso
     }
 }
 
+/// Reads the string values of `keys` from the top-level object of `text`
+/// without building a document: one pass over the bytes that skips
+/// strings and nested values by depth and allocates nothing. Routing a
+/// large body by two of its fields costs this scan, not a [`parse`].
+///
+/// `Some(values)` is a guarantee: [`parse`] accepts `text`, and for each
+/// key, `parse(text)?.get(key)?.as_str()` — the *first* pair with that
+/// key, as [`Json::get`] takes it — is `Some(values[i])`. `None` means
+/// undecided, and the caller falls back to [`parse`]. The scan accepts a
+/// strict subset of what [`parse`] does and stays undecided on anything
+/// outside it: malformed or truncated text, a top level that is not an
+/// object, a missing key, a first value that is not a string, an escape
+/// inside a top-level key or a wanted value, a `\u` escape anywhere, a
+/// number outside the JSON grammar, or nesting past [`MAX_DEPTH`].
+pub fn scan_str_fields<'a, const N: usize>(text: &'a str, keys: [&str; N]) -> Option<[&'a str; N]> {
+    let bytes = text.as_bytes();
+    let mut pos = 0;
+    skip_ws(bytes, &mut pos);
+    if bytes.get(pos) != Some(&b'{') {
+        return None;
+    }
+    let mut found: [Option<&'a str>; N] = [None; N];
+    // `is_object[d]` says whether open container `d` is an object.
+    let mut is_object = [false; MAX_DEPTH];
+    let mut depth = 0;
+    // Whether a value starts at `pos` (else one just ended there).
+    let mut want_value = true;
+    loop {
+        skip_ws(bytes, &mut pos);
+        if want_value {
+            want_value = false;
+            match bytes.get(pos) {
+                Some(&open @ (b'{' | b'[')) => {
+                    if depth == MAX_DEPTH {
+                        return None;
+                    }
+                    let object = open == b'{';
+                    is_object[depth] = object;
+                    depth += 1;
+                    pos += 1;
+                    skip_ws(bytes, &mut pos);
+                    if bytes.get(pos) == Some(if object { &b'}' } else { &b']' }) {
+                        pos += 1;
+                        depth -= 1;
+                    } else if object {
+                        want_value = !scan_member(text, &mut pos, depth, keys, &mut found)?;
+                    } else {
+                        want_value = true;
+                    }
+                }
+                Some(b'"') => {
+                    scan_string(text, &mut pos)?;
+                }
+                Some(b't') => scan_literal(bytes, &mut pos, b"true")?,
+                Some(b'f') => scan_literal(bytes, &mut pos, b"false")?,
+                Some(b'n') => scan_literal(bytes, &mut pos, b"null")?,
+                _ => scan_number(bytes, &mut pos)?,
+            }
+            continue;
+        }
+        if depth == 0 {
+            if pos != bytes.len() {
+                return None;
+            }
+            let mut values = [""; N];
+            for (value, slot) in values.iter_mut().zip(found) {
+                *value = slot?;
+            }
+            return Some(values);
+        }
+        let object = is_object[depth - 1];
+        match bytes.get(pos) {
+            Some(b',') if object => {
+                pos += 1;
+                want_value = !scan_member(text, &mut pos, depth, keys, &mut found)?;
+            }
+            Some(b',') => {
+                pos += 1;
+                want_value = true;
+            }
+            Some(b'}') if object => {
+                pos += 1;
+                depth -= 1;
+            }
+            Some(b']') if !object => {
+                pos += 1;
+                depth -= 1;
+            }
+            _ => return None,
+        }
+    }
+}
+
+/// Scans one object member's key and `:`. In the top-level object
+/// (`depth == 1`), the first occurrence of a wanted key also consumes
+/// its string value into `found` and returns `true`; otherwise the value
+/// is left for the caller and the result is `false`.
+fn scan_member<'a, const N: usize>(
+    text: &'a str,
+    pos: &mut usize,
+    depth: usize,
+    keys: [&str; N],
+    found: &mut [Option<&'a str>; N],
+) -> Option<bool> {
+    let bytes = text.as_bytes();
+    skip_ws(bytes, pos);
+    let (key, key_escaped) = scan_string(text, pos)?;
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) != Some(&b':') {
+        return None;
+    }
+    *pos += 1;
+    if depth != 1 {
+        return Some(false);
+    }
+    // An escaped top-level key might decode to a wanted one.
+    if key_escaped {
+        return None;
+    }
+    let Some(slot) = keys
+        .iter()
+        .position(|k| *k == key)
+        .map(|i| &mut found[i])
+        .filter(|slot| slot.is_none())
+    else {
+        return Some(false);
+    };
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) != Some(&b'"') {
+        return None;
+    }
+    match scan_string(text, pos)? {
+        (value, false) => {
+            *slot = Some(value);
+            Some(true)
+        }
+        (_, true) => None,
+    }
+}
+
+/// Skips the string starting at `*pos` (which must be `"`), returning
+/// its raw contents and whether they hold an escape. Accepts only what
+/// [`parse`] decodes the same way: no raw control characters and no
+/// `\u` escapes.
+fn scan_string<'a>(text: &'a str, pos: &mut usize) -> Option<(&'a str, bool)> {
+    let bytes = text.as_bytes();
+    if bytes.get(*pos) != Some(&b'"') {
+        return None;
+    }
+    let start = *pos + 1;
+    let mut i = start;
+    let mut escaped = false;
+    loop {
+        match *bytes.get(i)? {
+            b'"' => {
+                *pos = i + 1;
+                return Some((&text[start..i], escaped));
+            }
+            b'\\' => {
+                if !matches!(
+                    bytes.get(i + 1)?,
+                    b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't'
+                ) {
+                    return None;
+                }
+                escaped = true;
+                i += 2;
+            }
+            b if b < 0x20 => return None,
+            _ => i += 1,
+        }
+    }
+}
+
+fn scan_literal(bytes: &[u8], pos: &mut usize, lit: &[u8]) -> Option<()> {
+    if !bytes[*pos..].starts_with(lit) {
+        return None;
+    }
+    *pos += lit.len();
+    Some(())
+}
+
+/// Skips a number in the strict JSON grammar
+/// (`-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`) that is also the
+/// whole run [`parse_number`] would consume, so `f64::from_str` accepts
+/// it there.
+fn scan_number(bytes: &[u8], pos: &mut usize) -> Option<()> {
+    let digits = |p: &mut usize| {
+        let start = *p;
+        while bytes.get(*p).is_some_and(u8::is_ascii_digit) {
+            *p += 1;
+        }
+        (*p > start).then_some(())
+    };
+    let mut p = *pos;
+    if bytes.get(p) == Some(&b'-') {
+        p += 1;
+    }
+    match bytes.get(p) {
+        Some(b'0') => p += 1,
+        Some(b'1'..=b'9') => digits(&mut p)?,
+        _ => return None,
+    }
+    if bytes.get(p) == Some(&b'.') {
+        p += 1;
+        digits(&mut p)?;
+    }
+    if matches!(bytes.get(p), Some(b'e' | b'E')) {
+        p += 1;
+        if matches!(bytes.get(p), Some(b'+' | b'-')) {
+            p += 1;
+        }
+        digits(&mut p)?;
+    }
+    if matches!(
+        bytes.get(p),
+        Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+    ) {
+        return None;
+    }
+    *pos = p;
+    Some(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -503,6 +727,80 @@ mod tests {
 
         // Ordinary syntax errors keep the Syntax kind.
         assert_eq!(parse("[1,").unwrap_err().kind, JsonErrorKind::Syntax);
+    }
+
+    #[test]
+    fn scan_reads_top_level_strings_like_get() {
+        let keys = ["source", "target"];
+        for (text, want) in [
+            (r#"{"source":"zip","target":"county"}"#, ["zip", "county"]),
+            // Key order, whitespace, nested values ahead of the keys.
+            (
+                " {\n\t\"attributes\" : [{\"name\":\"a\\n\",\"values\":[1,-2.5e3,0.0]}],\r\n \"target\":\"c\" , \"source\": \"s\" } ",
+                ["s", "c"],
+            ),
+            // Nested "source" keys are not top-level; the first
+            // top-level duplicate wins, as with `Json::get`.
+            (
+                r#"{"x":{"source":"inner"},"source":"a","target":"b","source":"later"}"#,
+                ["a", "b"],
+            ),
+            (r#"{"source":"é世","target":"","n":[true,false,null,{}]}"#, ["é世", ""]),
+        ] {
+            assert_eq!(scan_str_fields(text, keys), Some(want), "{text}");
+            let doc = parse(text).unwrap();
+            for (k, v) in keys.iter().zip(want) {
+                assert_eq!(doc.get(k).and_then(Json::as_str), Some(v));
+            }
+        }
+    }
+
+    #[test]
+    fn scan_is_undecided_where_it_cannot_vouch_for_parse() {
+        let keys = ["source", "target"];
+        for text in [
+            // Malformed or truncated bodies: `parse` rejects them.
+            r#"{"source":"a","target":"b""#,
+            r#"{"source":"a","target":"b"} x"#,
+            r#"{"source":"a","target":"b","v":[1,]}"#,
+            r#"{"source":"a","target":"b","v":01}"#,
+            r#"{"source":"a","target":"b","v":"\q"}"#,
+            r#"{"source":"a","target":"b",}"#,
+            "{\"source\":\"a\",\"target\":\"b\",\"v\":\"\u{1}\"}",
+            // Escapes the scan does not decode.
+            r#"{"sour\u0063e":"z","source":"a","target":"b"}"#,
+            r#"{"sour\/ce":"z","source":"a","target":"b"}"#,
+            r#"{"source":"a\/","target":"b"}"#,
+            r#"{"source":"a","target":"b","v":"\u0041"}"#,
+            // Numbers `parse` accepts outside the JSON grammar.
+            r#"{"source":"a","target":"b","v":.5}"#,
+            r#"{"source":"a","target":"b","v":+1}"#,
+            // Missing key, non-string first value, non-object document.
+            r#"{"source":"a"}"#,
+            r#"{"source":1,"source":"a","target":"b"}"#,
+            r#"[{"source":"a","target":"b"}]"#,
+            "",
+        ] {
+            assert_eq!(scan_str_fields(text, keys), None, "{text}");
+        }
+        // Nesting at the parser's limit is scanned; one past it is not.
+        let nest = |d: usize| {
+            format!(
+                r#"{{"source":"a","target":"b","v":{}1{}}}"#,
+                "[".repeat(d),
+                "]".repeat(d)
+            )
+        };
+        assert!(parse(&nest(MAX_DEPTH - 1)).is_ok());
+        assert_eq!(
+            scan_str_fields(&nest(MAX_DEPTH - 1), keys),
+            Some(["a", "b"])
+        );
+        assert!(parse(&nest(MAX_DEPTH)).is_err());
+        assert_eq!(scan_str_fields(&nest(MAX_DEPTH), keys), None);
+        // Simple escapes in values the scan skips are fine.
+        let text = r#"{"a":"x\"y\\z\/\b\f\n\r\t","source":"s","target":"t"}"#;
+        assert_eq!(scan_str_fields(text, keys), Some(["s", "t"]));
     }
 
     #[test]

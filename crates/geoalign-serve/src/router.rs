@@ -36,7 +36,7 @@ use crate::store::{AppState, IngestOutcome};
 use geoalign_agg::AggState;
 use geoalign_core::{CoreError, ReferenceData};
 use geoalign_obs::{expo, Registry};
-use geoalign_partition::{AggregateVector, DisaggregationMatrix};
+use geoalign_partition::{AggregateVector, DisaggregationMatrix, UnitIndex};
 
 /// `Content-Type` of the Prometheus text exposition format.
 const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
@@ -200,16 +200,10 @@ fn post_references(state: &AppState, req: &Request) -> Result<Response, HttpErro
     let entries = array_field(&doc, "entries")?;
 
     let mut pipeline = state.pipeline_mut();
-    let source_ids = pipeline
-        .unit_ids(source)
-        .map_err(|e| core_error(&e))?
-        .to_vec();
-    let target_ids = pipeline
-        .unit_ids(target)
-        .map_err(|e| core_error(&e))?
-        .to_vec();
-    let find = |ids: &[String], id: &str, system: &str| -> Result<usize, HttpError> {
-        ids.iter().position(|u| u == id).ok_or_else(|| {
+    let source_index = pipeline.unit_index(source).map_err(|e| core_error(&e))?;
+    let target_index = pipeline.unit_index(target).map_err(|e| core_error(&e))?;
+    let find = |index: &UnitIndex, id: &str, system: &str| -> Result<usize, HttpError> {
+        index.get(id).ok_or_else(|| {
             HttpError::bad_request(format!("unknown unit '{id}' in system '{system}'"))
         })
     };
@@ -230,14 +224,15 @@ fn post_references(state: &AppState, req: &Request) -> Result<Response, HttpErro
             .as_f64()
             .ok_or_else(|| HttpError::bad_request("entry value must be a number"))?;
         triples.push((
-            find(&source_ids, s, source)?,
-            find(&target_ids, t, target)?,
+            find(source_index, s, source)?,
+            find(target_index, t, target)?,
             v,
         ));
     }
 
-    let dm = DisaggregationMatrix::from_triples(name, source_ids.len(), target_ids.len(), triples)
-        .map_err(|e| HttpError::bad_request(e.to_string()))?;
+    let dm =
+        DisaggregationMatrix::from_triples(name, source_index.len(), target_index.len(), triples)
+            .map_err(|e| HttpError::bad_request(e.to_string()))?;
     let nnz = dm.nnz();
     let reference = ReferenceData::from_dm(name, dm).map_err(|e| core_error(&e))?;
     // Register before persisting: a record the registry rejected must
@@ -327,19 +322,9 @@ fn parse_ingest_batch<'a>(state: &AppState, doc: &'a Json) -> Result<IngestBatch
         return Err(HttpError::bad_request("'points' must not be empty"));
     }
 
-    let (source_ids, target_ids) = {
-        let pipeline = state.pipeline();
-        (
-            pipeline
-                .unit_ids(source)
-                .map_err(|e| core_error(&e))?
-                .to_vec(),
-            pipeline
-                .unit_ids(target)
-                .map_err(|e| core_error(&e))?
-                .to_vec(),
-        )
-    };
+    let pipeline = state.pipeline();
+    let source_index = pipeline.unit_index(source).map_err(|e| core_error(&e))?;
+    let target_index = pipeline.unit_index(target).map_err(|e| core_error(&e))?;
 
     let mut points = Vec::with_capacity(entries.len());
     let mut unknown = 0u64;
@@ -362,10 +347,7 @@ fn parse_ingest_batch<'a>(state: &AppState, doc: &'a Json) -> Result<IngestBatch
                 "point weight {w} must be finite and non-negative"
             )));
         }
-        match (
-            source_ids.iter().position(|u| u == s),
-            target_ids.iter().position(|u| u == t),
-        ) {
+        match (source_index.get(s), target_index.get(t)) {
             (Some(si), Some(ti)) => points.push((si, ti, w)),
             _ => unknown += 1,
         }
@@ -1102,6 +1084,91 @@ mod tests {
         );
         assert_eq!(r.status, 400);
         assert!(String::from_utf8_lossy(&r.body).contains("z9"));
+    }
+
+    #[test]
+    fn unknown_units_keep_their_answers() {
+        let state = state_with_world();
+        // /references: the first unknown name decides the whole 400 body.
+        let r = route(
+            &state,
+            &request(
+                "POST",
+                "/references",
+                r#"{"source":"zip","target":"county","name":"bad",
+                   "entries":[["z1","A",1],["z1","Q",1],["z9","A",1]]}"#,
+            ),
+        );
+        assert_eq!(r.status, 400);
+        assert_eq!(
+            String::from_utf8_lossy(&r.body),
+            r#"{"error":"unknown unit 'Q' in system 'county'"}"#
+        );
+        assert_eq!(state.pipeline().reference_count("zip", "county"), 1);
+        // /ingest: points naming an unknown unit on either side are
+        // counted as skipped, not rejected.
+        let r = route(
+            &state,
+            &request(
+                "POST",
+                "/ingest",
+                r#"{"source":"zip","target":"county","attribute":"pop",
+                   "points":[["z1","A",2],["z9","A",1],["z2","Q",1],["z3","B",4]]}"#,
+            ),
+        );
+        assert_eq!(r.status, 200, "{:?}", String::from_utf8_lossy(&r.body));
+        let doc = body_json(&r);
+        assert_eq!(doc.get("absorbed").unwrap().as_f64(), Some(2.0));
+        assert_eq!(doc.get("skipped").unwrap().as_f64(), Some(2.0));
+    }
+
+    #[test]
+    fn duplicate_unit_ids_resolve_to_their_first_occurrence() {
+        let state = AppState::new(8);
+        for body in [
+            r#"{"name":"zip","units":["z1","z2","z1","z3","z2"]}"#,
+            r#"{"name":"county","units":["A","B","A"]}"#,
+        ] {
+            assert_eq!(
+                route(&state, &request("POST", "/systems", body)).status,
+                200
+            );
+        }
+        // Each name resolves where a scan of the registered ids finds it.
+        let ids = state.pipeline().unit_ids("zip").unwrap().to_vec();
+        assert_eq!(ids, ["z1", "z2", "z3"]);
+        let r = route(
+            &state,
+            &request(
+                "POST",
+                "/references",
+                r#"{"source":"zip","target":"county","name":"pop",
+                   "entries":[["z3","B",5],["z1","A",1],["z2","B",2]]}"#,
+            ),
+        );
+        assert_eq!(r.status, 200, "{:?}", String::from_utf8_lossy(&r.body));
+        let pipeline = state.pipeline();
+        let reference = &pipeline.references("zip", "county")[0];
+        assert_eq!((reference.n_source(), reference.n_target()), (3, 2));
+        let entries: Vec<(usize, usize, f64)> = reference.dm().matrix().iter().collect();
+        assert_eq!(entries, [(0, 0, 1.0), (1, 1, 2.0), (2, 1, 5.0)]);
+        drop(pipeline);
+        // /ingest resolves through the same index.
+        let body = r#"{"source":"zip","target":"county","attribute":"pop",
+            "points":[["z3","B",1],["z2","A",1]]}"#;
+        let r = route(&state, &request("POST", "/ingest/partial", body));
+        assert_eq!(r.status, 200, "{:?}", String::from_utf8_lossy(&r.body));
+        let hex = body_json(&r)
+            .get("state")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .to_owned();
+        let partial = AggState::decode(&hex_decode(&hex).unwrap()).unwrap();
+        let mut want = AggState::new("pop", 3, 2).unwrap();
+        want.absorb(2, 1, 1.0).unwrap();
+        want.absorb(1, 0, 1.0).unwrap();
+        assert_eq!(partial.encode(), want.encode());
     }
 
     #[test]

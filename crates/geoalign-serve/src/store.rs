@@ -525,10 +525,9 @@ impl AppState {
     ) -> Result<IngestOutcome, CoreError> {
         // The pair's cache key before the fold — the entry to refresh
         // incrementally and then invalidate.
-        let old_key = {
-            let refs: Vec<&ReferenceData> = pipeline.references(source, target).iter().collect();
-            (!refs.is_empty()).then(|| CrosswalkKey::new(source, target, &refs))
-        };
+        let old_key = pipeline
+            .fingerprint(source, target)
+            .map(|fp| CrosswalkKey::with_fingerprint(source, target, fp));
         let absorbed = batch.count();
         let unknown = batch.skipped();
 
@@ -579,11 +578,12 @@ impl AppState {
         let mut touched_rows = 0usize;
         let mut incremental = false;
         if let Some(old) = &old_key {
-            if let Some(prepared) = self.cache.get(old) {
+            // The fold above re-registered the pair, so its memoized
+            // fingerprint is already the post-fold one.
+            let new_fp = pipeline.fingerprint(source, target);
+            if let (Some(prepared), Some(new_fp)) = (self.cache.get(old), new_fp) {
                 let (updated, touched) = prepared.with_reference_updated(position, reference)?;
-                let refs: Vec<&ReferenceData> =
-                    pipeline.references(source, target).iter().collect();
-                let new_key = CrosswalkKey::new(source, target, &refs);
+                let new_key = CrosswalkKey::with_fingerprint(source, target, new_fp);
                 self.cache.insert(new_key, Arc::new(updated));
                 touched_rows = touched;
                 incremental = true;
@@ -648,21 +648,23 @@ impl AppState {
     /// The prepared crosswalk for `source → target` over the references
     /// currently registered for that pair — cached by content
     /// fingerprint, so re-registered references can never serve a stale
-    /// snapshot. Returns the snapshot and whether it was a cache hit;
-    /// cache misses feed the prepare-latency histogram.
+    /// snapshot. The fingerprint is the pipeline's memoized value, so a
+    /// hit costs a map lookup, not a walk over every reference entry.
+    /// Returns the snapshot and whether it was a cache hit; cache misses
+    /// feed the prepare-latency histogram.
     pub fn prepared_crosswalk(
         &self,
         source: &str,
         target: &str,
     ) -> Result<(Arc<PreparedCrosswalk>, bool), CoreError> {
         let pipeline = self.pipeline();
-        let refs: Vec<&ReferenceData> = pipeline.references(source, target).iter().collect();
-        if refs.is_empty() {
+        let Some(fingerprint) = pipeline.fingerprint(source, target) else {
             return Err(CoreError::UnknownReference {
                 name: format!("crosswalk {source} -> {target}"),
             });
-        }
-        let key = CrosswalkKey::new(source, target, &refs);
+        };
+        let refs: Vec<&ReferenceData> = pipeline.references(source, target).iter().collect();
+        let key = CrosswalkKey::with_fingerprint(source, target, fingerprint);
         let aligner = *pipeline.aligner();
         let t0 = Instant::now();
         let (prepared, hit) = self
@@ -678,6 +680,7 @@ impl AppState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geoalign_core::GeoAlign;
     use geoalign_partition::DisaggregationMatrix;
 
     fn populated() -> Arc<AppState> {
@@ -736,6 +739,56 @@ mod tests {
     fn missing_crosswalk_is_an_error() {
         let state = populated();
         assert!(state.prepared_crosswalk("county", "zip").is_err());
+    }
+
+    #[test]
+    fn memoized_key_revives_a_prep_entry_keyed_by_a_full_walk() {
+        // A `prep/` entry written under `CrosswalkKey::new` — the key
+        // every earlier release persisted — must be found by the
+        // memoized-fingerprint lookup, with no prepare run.
+        let dir = std::env::temp_dir().join(format!("geoalign-serve-memo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dm = DisaggregationMatrix::from_triples(
+            "pop",
+            2,
+            2,
+            [(0, 0, 10.0), (0, 1, 30.0), (1, 1, 5.0)],
+        )
+        .unwrap();
+        let reference = ReferenceData::from_dm("pop", dm).unwrap();
+        let walked = CrosswalkKey::new("zip", "county", &[&reference]);
+        {
+            let state = AppState::open_durable(&dir, 8).unwrap();
+            state
+                .persist_system("zip", &["z1".to_owned(), "z2".to_owned()])
+                .unwrap();
+            state
+                .persist_system("county", &["A".to_owned(), "B".to_owned()])
+                .unwrap();
+            state
+                .persist_reference("zip", "county", &reference)
+                .unwrap();
+            let prepared = GeoAlign::new().prepare(&[&reference]).unwrap();
+            let backing = state.durable().unwrap();
+            backing.persist_prepared(&walked, &Arc::new(prepared));
+            backing.flush();
+        }
+
+        let state = AppState::open_durable(&dir, 8).unwrap();
+        let memo = state.pipeline().fingerprint("zip", "county");
+        assert_eq!(memo, Some(walked.fingerprint));
+        assert_eq!(
+            persist::prepared_key(&CrosswalkKey::with_fingerprint(
+                "zip",
+                "county",
+                memo.unwrap()
+            )),
+            persist::prepared_key(&walked)
+        );
+        let (_, hit) = state.prepared_crosswalk("zip", "county").unwrap();
+        assert!(hit, "the persisted prepare must be revived");
+        assert_eq!(state.metrics.prepare_latency.count(), 0, "no prepare ran");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
