@@ -599,6 +599,8 @@ fn reason_phrase(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_bodies::BodyGen;
+    use proptest::prelude::*;
 
     fn parse(raw: &[u8]) -> Result<Option<Request>, HttpError> {
         read_request(&mut &raw[..])
@@ -805,5 +807,100 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("\r\nX-Trace-Id: abc123\r\n"), "{text}");
         assert!(text.ends_with("\r\n\r\n{}"), "{text}");
+    }
+
+    /// A request stream: a request line and headers of every kind the
+    /// parser tells apart, a body of the declared length, sometimes a
+    /// pipelined second request, truncation or an overwritten byte.
+    fn request_bytes(gen: &mut BodyGen) -> Vec<u8> {
+        let eol = gen.pick(&["\r\n", "\n"]);
+        let mut out = String::new();
+        out.push_str(gen.pick(&[
+            "POST /crosswalk HTTP/1.1",
+            "GET /metrics?format=prometheus HTTP/1.0",
+            "get  /x   HTTP/1.1",
+            "GET / HTTP/2",
+            "GET / HTTP/1.1 extra",
+            "GARBAGE",
+            "",
+        ]));
+        out.push_str(eol);
+        let body = gen.pick(&["", "{}", "{\"source\":\"zip\"}", "é世😀"]);
+        for _ in 0..gen.below(4) {
+            let header = match gen.pick(&["len", "len", "other", "bad", "conflict", "huge", "junk"])
+            {
+                "len" => format!("Content-Length: {}", body.len()),
+                "other" => "X-Trace-Id: abc".to_owned(),
+                "bad" => "Content-Length: ten".to_owned(),
+                "conflict" => format!("content-length: {}", body.len() + 1),
+                "huge" => format!("Content-Length: {}", MAX_BODY_BYTES + 1),
+                _ => "no colon here".to_owned(),
+            };
+            out.push_str(&header);
+            out.push_str(eol);
+        }
+        out.push_str(eol);
+        out.push_str(body);
+        if gen.below(3) == 0 {
+            out.push_str("GET /healthz HTTP/1.1\r\n\r\n");
+        }
+        let mut bytes = out.into_bytes();
+        match gen.below(6) {
+            0 => bytes.truncate(gen.below(bytes.len() + 1)),
+            1 if !bytes.is_empty() => {
+                let at = gen.below(bytes.len());
+                bytes[at] = [b'\n', b'\r', b':', b' ', 0xff, b'x'][gen.below(6)];
+            }
+            _ => {}
+        }
+        bytes
+    }
+
+    /// What feeding `chunks` in order yields: the first request or error,
+    /// the bytes consumed up to it, and the EOF error at the end if none.
+    fn feed_all<'a>(max_head: usize, chunks: impl IntoIterator<Item = &'a [u8]>) -> String {
+        let mut parser = RequestParser::new(max_head);
+        let mut consumed = 0;
+        for chunk in chunks {
+            match parser.feed(chunk) {
+                Err(e) => return format!("error {} {}", e.status, e.message),
+                Ok((n, Some(req))) => return format!("request {req:?} after {}", consumed + n),
+                Ok((n, None)) => {
+                    assert_eq!(
+                        n,
+                        chunk.len(),
+                        "an unfinished request takes the whole chunk"
+                    );
+                    consumed += n;
+                }
+            }
+        }
+        let eof = parser.eof_error();
+        format!(
+            "pending {} {} after {consumed}",
+            parser.started(),
+            eof.message
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3000))]
+        #[test]
+        fn chunked_feeds_parse_like_one_shot(seed in 0u64..u64::MAX) {
+            let mut gen = BodyGen::new(seed);
+            let bytes = request_bytes(&mut gen);
+            let max_head = [MAX_HEAD_BYTES, 48, 16][gen.below(3)];
+            let mut cuts: Vec<usize> = (0..gen.below(8))
+                .map(|_| gen.below(bytes.len() + 1))
+                .collect();
+            cuts.push(0);
+            cuts.push(bytes.len());
+            cuts.sort_unstable();
+            // Repeated cuts make empty chunks, which must be harmless.
+            let chunks = cuts.windows(2).map(|w| &bytes[w[0]..w[1]]);
+            let one_shot = feed_all(max_head, [&bytes[..]]);
+            let chunked = feed_all(max_head, chunks);
+            prop_assert!(one_shot == chunked, "{:?}\none shot: {one_shot}\n chunked: {chunked}", String::from_utf8_lossy(&bytes));
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! with [`JsonErrorKind::TooDeep`] instead of overflowing the worker
 //! thread's stack.
 
-use std::fmt::Write as _;
+use std::fmt;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,45 +65,44 @@ impl Json {
         }
     }
 
-    fn write(&self, out: &mut String) {
+    fn write<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
+            Json::Null => out.write_str("null"),
+            Json::Bool(true) => out.write_str("true"),
+            Json::Bool(false) => out.write_str("false"),
             Json::Number(v) => write_number(out, *v),
             Json::String(s) => write_string(out, s),
             Json::Array(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    item.write(out);
+                    item.write(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Object(pairs) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    write_string(out, k);
-                    out.push(':');
-                    v.write(out);
+                    write_string(out, k)?;
+                    out.write_char(':')?;
+                    v.write(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
 }
 
-/// Renders the value as compact JSON text (so `.to_string()` works too).
-impl std::fmt::Display for Json {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
+/// Renders the value as compact JSON text (so `.to_string()` works too),
+/// straight into the formatter.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f)
     }
 }
 
@@ -131,32 +130,42 @@ impl From<bool> for Json {
     }
 }
 
-fn write_number(out: &mut String, v: f64) {
+/// Writes `v` as a JSON number; a value JSON cannot hold becomes `null`.
+pub(crate) fn write_number<W: fmt::Write>(out: &mut W, v: f64) -> fmt::Result {
     if v.is_finite() {
         // `{}` on f64 round-trips and never emits exponent-less `inf`.
-        let _ = write!(out, "{v}");
+        write!(out, "{v}")
     } else {
         // JSON has no Inf/NaN; null is the conventional degradation.
-        out.push_str("null");
+        out.write_str("null")
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Writes `s` as a JSON string literal, escaping what JSON requires.
+pub(crate) fn write_string<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    // Unescaped runs go out whole; only the bytes that need an escape
+    // (all ASCII, so `i` is always a char boundary) are written singly.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        match escape {
+            Some(escape) => out.write_str(escape)?,
+            None => write!(out, "\\u{b:04x}")?,
         }
+        run = i + 1;
     }
-    out.push('"');
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 /// Maximum container nesting the parser accepts. Every `[` or `{` costs
@@ -185,8 +194,8 @@ pub struct JsonError {
     pub kind: JsonErrorKind,
 }
 
-impl std::fmt::Display for JsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "invalid JSON at byte {}: {}", self.offset, self.message)
     }
 }
@@ -196,9 +205,18 @@ impl std::error::Error for JsonError {}
 /// Parses one JSON document; trailing whitespace is allowed, trailing
 /// content is an error. Nesting past [`MAX_DEPTH`] is rejected.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
+    document(text, |bytes, pos| parse_value(bytes, pos, MAX_DEPTH))
+}
+
+/// Runs `value` over the one value of `text`, then rejects anything but
+/// whitespace after it.
+fn document<T>(
+    text: &str,
+    value: impl FnOnce(&[u8], &mut usize) -> Result<T, JsonError>,
+) -> Result<T, JsonError> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
+    let value = value(bytes, &mut pos)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err("trailing content after document", pos));
@@ -249,7 +267,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
         Some(b'"') => parse_string(bytes, pos).map(Json::String),
         Some(b'[') => parse_array(bytes, pos, depth),
         Some(b'{') => parse_object(bytes, pos, depth),
-        Some(_) => parse_number(bytes, pos),
+        Some(_) => parse_number(bytes, pos).map(Json::Number),
     }
 }
 
@@ -262,19 +280,38 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Resul
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Consumes an optional `-` and then the whole run of number bytes
+/// after it, and converts the run. A run of 1 to 15 digits with no `.`,
+/// `e`, `E`, `+` or `-` after them converts as an exact integer: it stays
+/// below 2^53, so `as f64` is exact, which is also what the correctly
+/// rounded `f64::from_str` gives (leading zeros and `-0` included).
+/// Every other run goes through `f64::from_str`. The run is looser than
+/// the JSON grammar (`.5`, `+1`, `007` parse), and whatever `from_str`
+/// refuses is an error at its start.
+fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, JsonError> {
     let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
+    let negative = bytes.get(start) == Some(&b'-');
+    let digits = start + usize::from(negative);
+    let mut end = digits;
+    let mut n = 0u64;
+    while let Some(d) = bytes.get(end).filter(|d| d.is_ascii_digit()) {
+        n = n.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+        end += 1;
     }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+    if (1..=15).contains(&(end - digits))
+        && !matches!(bytes.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-'))
     {
-        *pos += 1;
+        *pos = end;
+        let v = n as f64;
+        return Ok(if negative { -v } else { v });
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii digits");
+    while end < bytes.len() && matches!(bytes[end], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+    {
+        end += 1;
+    }
+    *pos = end;
+    let text = std::str::from_utf8(&bytes[start..end]).expect("ascii digits");
     text.parse::<f64>()
-        .map(Json::Number)
         .map_err(|_| err(&format!("bad number '{text}'"), start))
 }
 
@@ -366,61 +403,260 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, JsonError> {
 }
 
 fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let mut items = Vec::new();
+    array_items(bytes, pos, depth, |pos, depth| {
+        items.push(parse_value(bytes, pos, depth)?);
+        Ok(())
+    })?;
+    Ok(Json::Array(items))
+}
+
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let mut pairs = Vec::new();
+    object_members(bytes, pos, depth, |key, pos, depth| {
+        pairs.push((key, parse_value(bytes, pos, depth)?));
+        Ok(())
+    })?;
+    Ok(Json::Object(pairs))
+}
+
+/// Walks the array at `*pos`, calling `item(pos, depth)` at the start of
+/// each element (before its whitespace); `item` must consume exactly one
+/// value, with `depth` the nesting allowance left for it. Every consumer
+/// of arrays goes through here, so the grammar, the depth accounting and
+/// the error messages and offsets are the same for all of them.
+fn array_items(
+    bytes: &[u8],
+    pos: &mut usize,
+    depth: usize,
+    mut item: impl FnMut(&mut usize, usize) -> Result<(), JsonError>,
+) -> Result<(), JsonError> {
     if depth == 0 {
         return Err(too_deep(*pos));
     }
     expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
     skip_ws(bytes, pos);
     if bytes.get(*pos) == Some(&b']') {
         *pos += 1;
-        return Ok(Json::Array(items));
+        return Ok(());
     }
     loop {
-        items.push(parse_value(bytes, pos, depth - 1)?);
+        item(pos, depth - 1)?;
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
-            }
+            Some(b',') => *pos += 1,
             Some(b']') => {
                 *pos += 1;
-                return Ok(Json::Array(items));
+                return Ok(());
             }
             _ => return Err(err("expected ',' or ']'", *pos)),
         }
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+/// Walks the object at `*pos` like [`array_items`], calling
+/// `member(key, pos, depth)` once per member with `*pos` just past its
+/// `:`.
+fn object_members(
+    bytes: &[u8],
+    pos: &mut usize,
+    depth: usize,
+    mut member: impl FnMut(String, &mut usize, usize) -> Result<(), JsonError>,
+) -> Result<(), JsonError> {
     if depth == 0 {
         return Err(too_deep(*pos));
     }
     expect(bytes, pos, b'{')?;
-    let mut pairs = Vec::new();
     skip_ws(bytes, pos);
     if bytes.get(*pos) == Some(&b'}') {
         *pos += 1;
-        return Ok(Json::Object(pairs));
+        return Ok(());
     }
     loop {
         skip_ws(bytes, pos);
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos, depth - 1)?;
-        pairs.push((key, value));
+        member(key, pos, depth - 1)?;
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
-            }
+            Some(b',') => *pos += 1,
             Some(b'}') => {
                 *pos += 1;
-                return Ok(Json::Object(pairs));
+                return Ok(());
             }
             _ => return Err(err("expected ',' or '}'", *pos)),
         }
+    }
+}
+
+/// One field of a decoded body, as [`Json::get`] finds it: the value of
+/// the *first* pair with its key. A wrong type is recorded, not raised,
+/// so the caller can check fields in its own order.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Field<T> {
+    /// No pair has the key, or the enclosing value is not an object.
+    Absent,
+    /// The first pair's value has another type.
+    Wrong,
+    /// The first pair's value.
+    Val(T),
+}
+
+/// The fields `POST /crosswalk` reads from its body.
+#[derive(Debug, PartialEq)]
+pub(crate) struct CrosswalkBody {
+    /// `source`, a string.
+    pub source: Field<String>,
+    /// `target`, a string.
+    pub target: Field<String>,
+    /// `attributes`, an array; every element is decoded, objects or not.
+    pub attributes: Field<Vec<CrosswalkAttribute>>,
+}
+
+/// One element of a [`CrosswalkBody`]'s `attributes`.
+#[derive(Debug, PartialEq)]
+pub(crate) struct CrosswalkAttribute {
+    /// `name`, a string.
+    pub name: Field<String>,
+    /// `values`, an array: `Val(Some(..))` when every element is a
+    /// number, `Val(None)` when one is not.
+    pub values: Field<Option<Vec<f64>>>,
+}
+
+/// Decodes a `/crosswalk` body straight into its typed fields, with no
+/// [`Json`] tree: numbers in `values` land in a `Vec<f64>` directly.
+///
+/// The walk is [`parse`]'s own (the same walkers, string and number
+/// parsers), and every other key and element is parsed in full, so `text`
+/// fails here exactly when, where and how [`parse`] fails. When it
+/// succeeds, each field equals what [`Json::get`] and the `as_*`
+/// accessors read from `parse(text)`.
+pub(crate) fn decode_crosswalk(text: &str) -> Result<CrosswalkBody, JsonError> {
+    document(text, |bytes, pos| {
+        let mut body = CrosswalkBody {
+            source: Field::Absent,
+            target: Field::Absent,
+            attributes: Field::Absent,
+        };
+        decode_object(bytes, pos, MAX_DEPTH, |key, pos, depth| {
+            match key.as_str() {
+                "source" if body.source == Field::Absent => {
+                    body.source = decode_string(bytes, pos, depth)?;
+                }
+                "target" if body.target == Field::Absent => {
+                    body.target = decode_string(bytes, pos, depth)?;
+                }
+                "attributes" if body.attributes == Field::Absent => {
+                    let mut attributes = Vec::new();
+                    let is_array = decode_array(bytes, pos, depth, |pos, depth| {
+                        attributes.push(decode_attribute(bytes, pos, depth)?);
+                        Ok(())
+                    })?;
+                    body.attributes = if is_array {
+                        Field::Val(attributes)
+                    } else {
+                        Field::Wrong
+                    };
+                }
+                _ => {
+                    parse_value(bytes, pos, depth)?;
+                }
+            }
+            Ok(())
+        })?;
+        Ok(body)
+    })
+}
+
+fn decode_attribute(
+    bytes: &[u8],
+    pos: &mut usize,
+    depth: usize,
+) -> Result<CrosswalkAttribute, JsonError> {
+    let mut attr = CrosswalkAttribute {
+        name: Field::Absent,
+        values: Field::Absent,
+    };
+    decode_object(bytes, pos, depth, |key, pos, depth| {
+        match key.as_str() {
+            "name" if attr.name == Field::Absent => {
+                attr.name = decode_string(bytes, pos, depth)?;
+            }
+            "values" if attr.values == Field::Absent => {
+                // Numbers go straight into the vector; the first
+                // non-number drops it, but the rest is still parsed.
+                let mut numbers = Some(Vec::new());
+                let is_array = decode_array(bytes, pos, depth, |pos, depth| {
+                    skip_ws(bytes, pos);
+                    // `parse_value`'s dispatch: anything else is a number.
+                    match bytes.get(*pos) {
+                        None | Some(b'n' | b't' | b'f' | b'"' | b'[' | b'{') => {
+                            parse_value(bytes, pos, depth)?;
+                            numbers = None;
+                        }
+                        Some(_) => {
+                            let v = parse_number(bytes, pos)?;
+                            if let Some(numbers) = &mut numbers {
+                                numbers.push(v);
+                            }
+                        }
+                    }
+                    Ok(())
+                })?;
+                attr.values = if is_array {
+                    Field::Val(numbers)
+                } else {
+                    Field::Wrong
+                };
+            }
+            _ => {
+                parse_value(bytes, pos, depth)?;
+            }
+        }
+        Ok(())
+    })?;
+    Ok(attr)
+}
+
+/// Walks the object at `*pos` through `member`; any other value is
+/// parsed and dropped, leaving every field [`Field::Absent`].
+fn decode_object(
+    bytes: &[u8],
+    pos: &mut usize,
+    depth: usize,
+    member: impl FnMut(String, &mut usize, usize) -> Result<(), JsonError>,
+) -> Result<(), JsonError> {
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&b'{') {
+        object_members(bytes, pos, depth, member)
+    } else {
+        parse_value(bytes, pos, depth).map(drop)
+    }
+}
+
+fn decode_string(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Field<String>, JsonError> {
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&b'"') {
+        parse_string(bytes, pos).map(Field::Val)
+    } else {
+        parse_value(bytes, pos, depth).map(|_| Field::Wrong)
+    }
+}
+
+/// Walks the array at `*pos` through `item` and returns `true`; any other
+/// value is parsed and dropped, and the result is `false`.
+fn decode_array(
+    bytes: &[u8],
+    pos: &mut usize,
+    depth: usize,
+    item: impl FnMut(&mut usize, usize) -> Result<(), JsonError>,
+) -> Result<bool, JsonError> {
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&b'[') {
+        array_items(bytes, pos, depth, item).map(|()| true)
+    } else {
+        parse_value(bytes, pos, depth).map(|_| false)
     }
 }
 
@@ -651,6 +887,8 @@ fn scan_number(bytes: &[u8], pos: &mut usize) -> Option<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_bodies::BodyGen;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trips_documents() {
@@ -811,5 +1049,243 @@ mod tests {
             assert_eq!(back.as_f64(), Some(v));
         }
         assert_eq!(Json::Number(f64::NAN).to_string(), "null");
+    }
+
+    /// What a handler reading `doc` with [`Json::get`] and the `as_*`
+    /// accessors sees: the reference [`decode_crosswalk`] must match.
+    fn fields_by_get(doc: &Json) -> CrosswalkBody {
+        fn string(value: Option<&Json>) -> Field<String> {
+            match value {
+                None => Field::Absent,
+                Some(Json::String(s)) => Field::Val(s.clone()),
+                Some(_) => Field::Wrong,
+            }
+        }
+        let attributes = match doc.get("attributes") {
+            None => Field::Absent,
+            Some(Json::Array(items)) => Field::Val(
+                items
+                    .iter()
+                    .map(|attr| CrosswalkAttribute {
+                        name: string(attr.get("name")),
+                        values: match attr.get("values") {
+                            None => Field::Absent,
+                            Some(Json::Array(values)) => {
+                                Field::Val(values.iter().map(Json::as_f64).collect())
+                            }
+                            Some(_) => Field::Wrong,
+                        },
+                    })
+                    .collect(),
+            ),
+            Some(_) => Field::Wrong,
+        };
+        CrosswalkBody {
+            source: string(doc.get("source")),
+            target: string(doc.get("target")),
+            attributes,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4000))]
+        #[test]
+        fn decode_crosswalk_agrees_with_parse_and_get(seed in 0u64..u64::MAX) {
+            let body = BodyGen::new(seed).body();
+            let decoded = decode_crosswalk(&body);
+            let expected = parse(&body).map(|doc| fields_by_get(&doc));
+            // Debug prints each f64 in its shortest round-trip form, so
+            // equal text means equal bits, `-0.0` and infinities included;
+            // errors compare by message, offset and kind.
+            let (decoded, expected) = (format!("{decoded:?}"), format!("{expected:?}"));
+            prop_assert!(decoded == expected, "{body}\n decoded: {decoded}\nexpected: {expected}");
+        }
+    }
+
+    #[test]
+    fn crosswalk_body_generator_covers_every_outcome() {
+        // The property above is only as good as its bodies: each way a
+        // body can decode or fail must come up often.
+        let (mut complete, mut not_numbers, mut wrong, mut syntax, mut too_deep) = (0, 0, 0, 0, 0);
+        let mut at_limit = 0;
+        for seed in 0..4000 {
+            let body = BodyGen::new(seed).body();
+            match decode_crosswalk(&body) {
+                Ok(fields) => {
+                    at_limit += usize::from(body.contains(&"[".repeat(MAX_DEPTH - 4)));
+                    let attrs = match &fields.attributes {
+                        Field::Val(attrs) => attrs.as_slice(),
+                        _ => &[],
+                    };
+                    if matches!(fields.source, Field::Wrong)
+                        || attrs.iter().any(|a| matches!(a.values, Field::Wrong))
+                    {
+                        wrong += 1;
+                    }
+                    if attrs.iter().any(|a| a.values == Field::Val(None)) {
+                        not_numbers += 1;
+                    }
+                    if matches!(
+                        (&fields.source, &fields.target),
+                        (Field::Val(_), Field::Val(_))
+                    ) && !attrs.is_empty()
+                        && attrs.iter().all(|a| {
+                            matches!((&a.name, &a.values), (Field::Val(_), Field::Val(Some(_))))
+                        })
+                    {
+                        complete += 1;
+                    }
+                }
+                Err(e) if e.kind == JsonErrorKind::TooDeep => too_deep += 1,
+                Err(_) => syntax += 1,
+            }
+        }
+        let counts = [complete, not_numbers, wrong, syntax, too_deep, at_limit];
+        assert!(counts.iter().all(|&n| n >= 100), "{counts:?}");
+    }
+
+    /// `parse_number` over all of `run`, as bits.
+    fn number_bits(run: &str) -> Option<u64> {
+        let mut pos = 0;
+        let v = parse_number(run.as_bytes(), &mut pos).ok()?;
+        assert_eq!(pos, run.len(), "{run}");
+        Some(v.to_bits())
+    }
+
+    #[test]
+    fn exact_integers_match_from_str_bit_for_bit() {
+        let mut rng = BodyGen::new(17);
+        let mut runs: Vec<String> = Vec::new();
+        for len in 1..=15 {
+            runs.push("9".repeat(len));
+            runs.push("0".repeat(len));
+            runs.push(format!("1{}", "0".repeat(len - 1)));
+            runs.push(format!("{}1", "0".repeat(len - 1)));
+            for _ in 0..200 {
+                runs.push(
+                    (0..len)
+                        .map(|_| char::from(b'0' + rng.below(10) as u8))
+                        .collect(),
+                );
+            }
+        }
+        for digits in &runs {
+            for run in [digits.clone(), format!("-{digits}")] {
+                let want = run.parse::<f64>().unwrap().to_bits();
+                assert_eq!(number_bits(&run), Some(want), "{run}");
+            }
+        }
+        assert_eq!(number_bits("-0"), Some((-0.0f64).to_bits()));
+        // Past 15 digits (where the integer would round or wrap), and
+        // with a fraction, an exponent or anything off the digit grammar
+        // after the digits, `f64::from_str` decides alone.
+        for run in [
+            "1234567890123456",
+            "9007199254740993",
+            "-9999999999999999",
+            "0000000000000000",
+            "12345678901234567890123",
+            "-99999999999999999999999999",
+            "1.5",
+            "1.",
+            ".5",
+            "1e5",
+            "1E5",
+            "-1e-5",
+            "1e400",
+            "123456789012345e-3",
+            "+1",
+            "-",
+            "",
+            "--1",
+            "1-",
+            "1+",
+            "1-2",
+        ] {
+            let want = run.parse::<f64>().ok().map(f64::to_bits);
+            let mut pos = 0;
+            let got = parse_number(run.as_bytes(), &mut pos)
+                .map(f64::to_bits)
+                .ok();
+            assert_eq!(got, want, "{run}");
+            assert_eq!(pos, run.len(), "{run}");
+        }
+    }
+
+    /// `doc` after one trip through text: JSON has no infinities, so they
+    /// come back as `null`.
+    fn finite_or_null(doc: &Json) -> Json {
+        match doc {
+            Json::Number(v) if !v.is_finite() => Json::Null,
+            Json::Array(items) => Json::Array(items.iter().map(finite_or_null).collect()),
+            Json::Object(pairs) => Json::Object(
+                pairs
+                    .iter()
+                    .map(|(k, v)| (k.clone(), finite_or_null(v)))
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4000))]
+        #[test]
+        fn parse_never_panics_and_errors_or_round_trips(seed in 0u64..u64::MAX) {
+            let mut gen = BodyGen::new(seed);
+            let mut text = gen.body();
+            // A second edit: a token spliced in at a random char boundary.
+            if gen.below(2) == 0 {
+                let mut at = gen.below(text.len() + 1);
+                while !text.is_char_boundary(at) {
+                    at -= 1;
+                }
+                let token = [
+                    "\\u", "\\ud83d", "\u{1}", "é", "\"", "]", "}", "1e", "-", "[[", "{\"a\":",
+                ][gen.below(11)];
+                text.insert_str(at, token);
+            }
+            if let Ok(doc) = parse(&text) {
+                let rendered = doc.to_string();
+                prop_assert!(
+                    parse(&rendered) == Ok(finite_or_null(&doc)),
+                    "{text} rendered as {rendered}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn write_string_escapes_like_a_char_walk() {
+        // The escaping rules, one char at a time: the byte-for-byte
+        // reference for the run-at-a-time writer.
+        fn char_walk(s: &str) -> String {
+            let mut out = String::from('"');
+            for ch in s.chars() {
+                match ch {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        let parts = [
+            "ab", "\"", "\\", "\n", "\r", "\t", "\u{0}", "\u{8}", "\u{1f}", "\u{7f}", "é", "😀", "",
+        ];
+        let mut gen = BodyGen::new(3);
+        for _ in 0..2000 {
+            let s: String = (0..gen.below(6))
+                .map(|_| parts[gen.below(parts.len())])
+                .collect();
+            let mut out = String::new();
+            write_string(&mut out, &s).unwrap();
+            assert_eq!(out, char_walk(&s), "{s:?}");
+        }
     }
 }

@@ -60,6 +60,8 @@ pub mod router;
 pub mod server;
 pub mod slo;
 pub mod store;
+#[cfg(test)]
+mod test_bodies;
 
 pub use http::{Request, Response};
 pub use json::Json;

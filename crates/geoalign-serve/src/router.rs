@@ -31,7 +31,7 @@
 //! without the flag the whole `/debug` prefix 404s like any unknown path.
 
 use crate::http::{HttpError, Request, Response};
-use crate::json::{self, Json};
+use crate::json::{self, Field, Json};
 use crate::store::{AppState, IngestOutcome};
 use geoalign_agg::AggState;
 use geoalign_core::{CoreError, ReferenceData};
@@ -124,24 +124,34 @@ fn method_not_allowed(method: &str, allow: &'static str) -> Response {
 /// Parses the JSON body; a depth-limit rejection (stack-overflow guard)
 /// is counted separately from plain syntax errors.
 fn parse_body(state: &AppState, req: &Request) -> Result<Json, HttpError> {
-    json::parse(req.body_text()?).map_err(|e| {
-        if e.kind == json::JsonErrorKind::TooDeep {
-            state.metrics.depth_limit_rejections.inc();
-        }
-        HttpError::bad_request(e.to_string())
-    })
+    json::parse(req.body_text()?).map_err(|e| json_error(state, &e))
+}
+
+fn json_error(state: &AppState, e: &json::JsonError) -> HttpError {
+    if e.kind == json::JsonErrorKind::TooDeep {
+        state.metrics.depth_limit_rejections.inc();
+    }
+    HttpError::bad_request(e.to_string())
 }
 
 fn str_field<'a>(doc: &'a Json, key: &str) -> Result<&'a str, HttpError> {
     doc.get(key)
         .and_then(Json::as_str)
-        .ok_or_else(|| HttpError::bad_request(format!("missing string field '{key}'")))
+        .ok_or_else(|| missing_string(key))
 }
 
 fn array_field<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], HttpError> {
     doc.get(key)
         .and_then(Json::as_array)
-        .ok_or_else(|| HttpError::bad_request(format!("missing array field '{key}'")))
+        .ok_or_else(|| missing_array(key))
+}
+
+fn missing_string(key: &str) -> HttpError {
+    HttpError::bad_request(format!("missing string field '{key}'"))
+}
+
+fn missing_array(key: &str) -> HttpError {
+    HttpError::bad_request(format!("missing array field '{key}'"))
 }
 
 fn core_error(e: &CoreError) -> HttpError {
@@ -482,39 +492,56 @@ fn hex_decode(s: &str) -> Option<Vec<u8>> {
 /// with `values` positional in the source system's registered unit order.
 /// One prepared crosswalk (cached across requests) is applied to every
 /// attribute in the batch.
+///
+/// The body decodes straight into typed fields and the reply is written
+/// straight into its bytes; no [`Json`] value is built either way. The
+/// checks, their order and their messages are those of a handler that
+/// reads the same fields from [`json::parse`] with [`Json::get`].
 fn post_crosswalk(state: &AppState, req: &Request) -> Result<Response, HttpError> {
-    let doc = parse_body(state, req)?;
-    let source = str_field(&doc, "source")?;
-    let target = str_field(&doc, "target")?;
-    let attributes = array_field(&doc, "attributes")?;
+    let body = json::decode_crosswalk(req.body_text()?).map_err(|e| json_error(state, &e))?;
+    let Field::Val(source) = body.source else {
+        return Err(missing_string("source"));
+    };
+    let Field::Val(target) = body.target else {
+        return Err(missing_string("target"));
+    };
+    let Field::Val(attributes) = body.attributes else {
+        return Err(missing_array("attributes"));
+    };
     if attributes.is_empty() {
         return Err(HttpError::bad_request("'attributes' must not be empty"));
     }
 
     let (prepared, cache_hit) = state
-        .prepared_crosswalk(source, target)
+        .prepared_crosswalk(&source, &target)
         .map_err(|e| core_error(&e))?;
-    let target_units: Vec<Json> = {
+    let mut reply = String::new();
+    {
         let pipeline = state.pipeline();
-        let ids = pipeline.unit_ids(target).map_err(|e| core_error(&e))?;
-        ids.iter().map(|id| Json::from(id.clone())).collect()
-    };
+        let ids = pipeline.unit_ids(&target).map_err(|e| core_error(&e))?;
+        // Ids and separators, then about 24 bytes per estimate and weight.
+        let numbers = attributes.len() * (prepared.n_target() + prepared.references().len());
+        reply.reserve(128 + ids.iter().map(|id| id.len() + 3).sum::<usize>() + numbers * 24);
+        write_reply_head(&mut reply, &target, ids, cache_hit).expect("writing to a String");
+    }
 
     // Validate the whole batch up front, then hand it to the prepared
     // crosswalk in one `apply_batch` call so the executor can spread the
     // attributes over the process thread budget.
-    let mut names = Vec::with_capacity(attributes.len());
     let mut vectors = Vec::with_capacity(attributes.len());
     for attr in attributes {
-        let name = str_field(attr, "name")?;
-        let values: Vec<f64> = array_field(attr, "values")?
-            .iter()
-            .map(|v| {
-                v.as_f64().ok_or_else(|| {
-                    HttpError::bad_request(format!("attribute '{name}': values must be numbers"))
-                })
-            })
-            .collect::<Result<_, _>>()?;
+        let Field::Val(name) = attr.name else {
+            return Err(missing_string("name"));
+        };
+        let values = match attr.values {
+            Field::Val(Some(values)) => values,
+            Field::Val(None) => {
+                return Err(HttpError::bad_request(format!(
+                    "attribute '{name}': values must be numbers"
+                )))
+            }
+            Field::Absent | Field::Wrong => return Err(missing_array("values")),
+        };
         if values.len() != prepared.n_source() {
             return Err(HttpError::bad_request(format!(
                 "attribute '{name}': {} values for {} source units",
@@ -522,39 +549,77 @@ fn post_crosswalk(state: &AppState, req: &Request) -> Result<Response, HttpError
                 prepared.n_source()
             )));
         }
-        let vector = AggregateVector::new(name, values)
+        let vector = AggregateVector::new(name.as_str(), values)
             .map_err(|e| HttpError::bad_request(format!("attribute '{name}': {e}")))?;
-        names.push(name);
         vectors.push(vector);
     }
 
     let applied_batch = prepared.apply_batch(&vectors).map_err(|e| core_error(&e))?;
-    let mut columns = Vec::with_capacity(attributes.len());
-    for (name, applied) in names.into_iter().zip(applied_batch) {
+    for applied in &applied_batch {
         state.metrics.record_phases(&applied.timings);
-        columns.push(Json::object([
-            ("name", Json::from(name)),
-            (
-                "values",
-                Json::Array(applied.estimate.into_iter().map(Json::Number).collect()),
-            ),
-            (
-                "weights",
-                Json::Array(applied.weights.into_iter().map(Json::Number).collect()),
-            ),
-        ]));
     }
+    let columns = vectors
+        .iter()
+        .zip(&applied_batch)
+        .map(|(v, a)| (v.attribute(), &a.estimate[..], &a.weights[..]));
+    write_reply_columns(&mut reply, columns).expect("writing to a String");
+    Ok(Response::json(reply))
+}
 
-    Ok(Response::json(
-        Json::object([
-            ("target_system", Json::from(target)),
-            ("target_units", Json::Array(target_units)),
-            ("cache_hit", Json::Bool(cache_hit)),
-            ("columns", Json::Array(columns)),
-        ])
-        .to_string()
-        .into_bytes(),
-    ))
+/// The `/crosswalk` reply up to its `columns`, which
+/// [`write_reply_columns`] adds; key order and bytes are those of
+/// `Json::object([("target_system", ..), ("target_units", ..),
+/// ("cache_hit", ..), ("columns", ..)]).to_string()`.
+fn write_reply_head(
+    out: &mut String,
+    target: &str,
+    ids: &[String],
+    cache_hit: bool,
+) -> std::fmt::Result {
+    out.push_str("{\"target_system\":");
+    json::write_string(out, target)?;
+    out.push_str(",\"target_units\":[");
+    for (i, id) in ids.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::write_string(out, id)?;
+    }
+    out.push_str("],\"cache_hit\":");
+    out.push_str(if cache_hit { "true" } else { "false" });
+    Ok(())
+}
+
+/// The rest of the `/crosswalk` reply after [`write_reply_head`]: the
+/// `columns` array, one `{"name":..,"values":[..],"weights":[..]}` per
+/// `(name, estimate, weights)`, and the closing brace.
+fn write_reply_columns<'a>(
+    out: &mut String,
+    columns: impl IntoIterator<Item = (&'a str, &'a [f64], &'a [f64])>,
+) -> std::fmt::Result {
+    out.push_str(",\"columns\":[");
+    for (i, (name, estimate, weights)) in columns.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"name\":");
+        json::write_string(out, name)?;
+        for (key, numbers) in [("values", estimate), ("weights", weights)] {
+            out.push_str(",\"");
+            out.push_str(key);
+            out.push_str("\":[");
+            for (j, &v) in numbers.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                json::write_number(out, v)?;
+            }
+            out.push(']');
+        }
+        out.push('}');
+    }
+    out.push_str("]}");
+    Ok(())
 }
 
 /// `POST /checkpoint` — flushes the write-behind persister, snapshots the
@@ -947,6 +1012,8 @@ fn span_record_json(s: &geoalign_obs::SpanRecord) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_bodies::BodyGen;
+    use proptest::prelude::*;
 
     fn request(method: &str, path: &str, body: &str) -> Request {
         Request {
@@ -1535,5 +1602,209 @@ mod tests {
             .unwrap()
             .get("count")
             .is_some());
+    }
+
+    /// `POST /crosswalk` as it was built on [`json::parse`] and a [`Json`]
+    /// reply tree: the reference `post_crosswalk` must answer like.
+    fn post_crosswalk_by_tree(state: &AppState, req: &Request) -> Result<Response, HttpError> {
+        let doc = parse_body(state, req)?;
+        let source = str_field(&doc, "source")?;
+        let target = str_field(&doc, "target")?;
+        let attributes = array_field(&doc, "attributes")?;
+        if attributes.is_empty() {
+            return Err(HttpError::bad_request("'attributes' must not be empty"));
+        }
+        let (prepared, cache_hit) = state
+            .prepared_crosswalk(source, target)
+            .map_err(|e| core_error(&e))?;
+        let target_units: Vec<Json> = {
+            let pipeline = state.pipeline();
+            let ids = pipeline.unit_ids(target).map_err(|e| core_error(&e))?;
+            ids.iter().map(|id| Json::from(id.clone())).collect()
+        };
+        let mut names = Vec::with_capacity(attributes.len());
+        let mut vectors = Vec::with_capacity(attributes.len());
+        for attr in attributes {
+            let name = str_field(attr, "name")?;
+            let values: Vec<f64> = array_field(attr, "values")?
+                .iter()
+                .map(|v| {
+                    v.as_f64().ok_or_else(|| {
+                        HttpError::bad_request(format!(
+                            "attribute '{name}': values must be numbers"
+                        ))
+                    })
+                })
+                .collect::<Result<_, _>>()?;
+            if values.len() != prepared.n_source() {
+                return Err(HttpError::bad_request(format!(
+                    "attribute '{name}': {} values for {} source units",
+                    values.len(),
+                    prepared.n_source()
+                )));
+            }
+            let vector = AggregateVector::new(name, values)
+                .map_err(|e| HttpError::bad_request(format!("attribute '{name}': {e}")))?;
+            names.push(name);
+            vectors.push(vector);
+        }
+        let applied_batch = prepared.apply_batch(&vectors).map_err(|e| core_error(&e))?;
+        let columns = names
+            .into_iter()
+            .zip(applied_batch)
+            .map(|(name, applied)| {
+                Json::object([
+                    ("name", Json::from(name)),
+                    (
+                        "values",
+                        Json::Array(applied.estimate.into_iter().map(Json::Number).collect()),
+                    ),
+                    (
+                        "weights",
+                        Json::Array(applied.weights.into_iter().map(Json::Number).collect()),
+                    ),
+                ])
+            })
+            .collect();
+        Ok(Response::json(
+            Json::object([
+                ("target_system", Json::from(target)),
+                ("target_units", Json::Array(target_units)),
+                ("cache_hit", Json::Bool(cache_hit)),
+                ("columns", Json::Array(columns)),
+            ])
+            .to_string()
+            .into_bytes(),
+        ))
+    }
+
+    /// Everything a client can observe of a response.
+    fn observable(r: &Response) -> (u16, &str, &[(String, String)], bool, String) {
+        let body = String::from_utf8_lossy(&r.body).into_owned();
+        (
+            r.status,
+            r.content_type,
+            &r.headers,
+            r.connection_close,
+            body,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3000))]
+        #[test]
+        fn crosswalk_answers_like_the_tree_handler(seed in 0u64..u64::MAX) {
+            let body = BodyGen::new(seed).body();
+            let req = request("POST", "/crosswalk", &body);
+            let (typed, by_tree) = (state_with_world(), state_with_world());
+            // Twice each: a cold prepare, then a cache hit.
+            for _ in 0..2 {
+                let got = route(&typed, &req);
+                let want = post_crosswalk_by_tree(&by_tree, &req).unwrap_or_else(Response::from);
+                prop_assert!(observable(&got) == observable(&want), "{body}\n got: {:?}\nwant: {:?}", observable(&got), observable(&want));
+            }
+            prop_assert_eq!(
+                typed.metrics.depth_limit_rejections.get(),
+                by_tree.metrics.depth_limit_rejections.get()
+            );
+        }
+    }
+
+    #[test]
+    fn crosswalk_body_generator_reaches_every_status() {
+        let state = state_with_world();
+        let mut counts = std::collections::BTreeMap::new();
+        for seed in 0..1500 {
+            let body = BodyGen::new(seed).body();
+            let status = route(&state, &request("POST", "/crosswalk", &body)).status;
+            *counts.entry(status).or_insert(0) += 1;
+        }
+        for status in [200, 400, 404] {
+            assert!(
+                counts.get(&status).copied().unwrap_or(0) >= 50,
+                "{counts:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn streamed_reply_matches_the_tree_rendering() {
+        let mut gen = BodyGen::new(5);
+        let specials = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE / 3.0,
+            1e300,
+            -1e300,
+            f64::MAX,
+            42.0,
+            -7.0,
+            0.1,
+            1.0 / 3.0,
+            9007199254740993.0,
+        ];
+        let text = [
+            "z1", "A", "\"", "\\", "\u{0}", "\u{1f}", "\n", "\r", "\t", "\u{7f}", "é", "世", "😀",
+            "",
+        ];
+        for _ in 0..300 {
+            let word = |gen: &mut BodyGen| -> String {
+                (0..gen.below(4))
+                    .map(|_| text[gen.below(text.len())])
+                    .collect()
+            };
+            let numbers = |gen: &mut BodyGen| -> Vec<f64> {
+                (0..gen.below(6))
+                    .map(|_| match gen.below(3) {
+                        0 => f64::from_bits(
+                            ((gen.below(1 << 32) as u64) << 32) | gen.below(1 << 32) as u64,
+                        ),
+                        _ => specials[gen.below(specials.len())],
+                    })
+                    .collect()
+            };
+            let target = word(&mut gen);
+            let ids: Vec<String> = (0..gen.below(5)).map(|_| word(&mut gen)).collect();
+            let columns: Vec<(String, Vec<f64>, Vec<f64>)> = (0..1 + gen.below(3))
+                .map(|_| (word(&mut gen), numbers(&mut gen), numbers(&mut gen)))
+                .collect();
+            for cache_hit in [false, true] {
+                let mut streamed = String::new();
+                write_reply_head(&mut streamed, &target, &ids, cache_hit).unwrap();
+                let parts = columns.iter().map(|(n, e, w)| (n.as_str(), &e[..], &w[..]));
+                write_reply_columns(&mut streamed, parts).unwrap();
+                let tree = Json::object([
+                    ("target_system", Json::from(target.as_str())),
+                    (
+                        "target_units",
+                        Json::Array(ids.iter().map(|id| Json::from(id.as_str())).collect()),
+                    ),
+                    ("cache_hit", Json::Bool(cache_hit)),
+                    (
+                        "columns",
+                        Json::Array(
+                            columns
+                                .iter()
+                                .map(|(name, estimate, weights)| {
+                                    let numbers = |v: &[f64]| {
+                                        Json::Array(v.iter().copied().map(Json::Number).collect())
+                                    };
+                                    Json::object([
+                                        ("name", Json::from(name.as_str())),
+                                        ("values", numbers(estimate)),
+                                        ("weights", numbers(weights)),
+                                    ])
+                                })
+                                .collect(),
+                        ),
+                    ),
+                ]);
+                assert_eq!(streamed, tree.to_string());
+            }
+        }
     }
 }
