@@ -1,4 +1,4 @@
-//! Cluster scatter/gather bench: aggregate `/crosswalk` and `/ingest`
+//! Cluster routing bench: aggregate `/crosswalk` and `/ingest`
 //! throughput through a `geoalign-cluster` coordinator at 1, 2 and 4
 //! shards, against a direct single-node baseline — every server a real
 //! `geoalign-serve` reactor on a loopback socket, every request a real
@@ -6,16 +6,16 @@
 //!
 //! Also measures what the coordinator *costs*: the proxy overhead
 //! (mean single-client `/crosswalk` latency through a 1-shard cluster
-//! minus the same request direct) and the scatter/gather overhead
-//! (mean scattered `/ingest` latency at 2 shards minus the same batch
-//! folded on a single node). Those overheads, plus `hardware_threads`,
-//! land in `BENCH_cluster.json` regardless of host parallelism; the
-//! ≥1.5x aggregate-throughput gate at 4 shards only arms on multi-core
-//! hosts, where shard parallelism can actually pay.
+//! minus the same request direct). That overhead, each row's mean
+//! `/ingest` latency (behind a coordinator, a batch forwarded whole to
+//! its owner) and `hardware_threads` land in `BENCH_cluster.json`
+//! regardless of host parallelism; the ≥1.5x aggregate-throughput gate
+//! at 4 shards only arms on multi-core hosts, where shard parallelism
+//! can actually pay.
 //!
 //! The bench asserts byte-identity before timing anything: the 4-shard
 //! cluster's `/crosswalk` body must equal the single node's for every
-//! pair, including after a scattered ingest on both sides.
+//! pair, including after an ingest on both sides.
 //!
 //! Usage: `cluster [--small] [--seed N] [--requests N] [--clients N]
 //!                 [--out BENCH_cluster.json]`
@@ -96,7 +96,6 @@ fn boot(n: usize, coordinated: bool) -> Cluster {
         })
         .collect();
     let mut config = CoordinatorConfig::new(specs);
-    config.scatter_threshold = 16;
     config.client = ClientConfig {
         read_timeout: Duration::from_secs(30),
         ..ClientConfig::default()
@@ -178,8 +177,7 @@ fn crosswalk_body(u: &Universe, p: usize, state: &mut u64) -> String {
     )
 }
 
-/// An `/ingest` batch for pair `p`, large enough to trip the
-/// coordinator's scatter threshold of 16.
+/// An `/ingest` batch of `points` points for pair `p`.
 fn ingest_body(u: &Universe, p: usize, points: usize, state: &mut u64) -> String {
     let pts: Vec<String> = (0..points)
         .map(|_| {
@@ -268,7 +266,7 @@ fn main() {
     );
 
     // ---- Byte-identity gate: 4-shard cluster vs single node. ----
-    // Same registrations, same scattered ingest, same crosswalks; every
+    // Same registrations, same ingests, same crosswalks; every
     // body compared byte for byte before any throughput is trusted.
     {
         let cluster = boot(4, true);
@@ -282,7 +280,7 @@ fn main() {
             let ingest = ingest_body(&universe, p, ingest_points, &mut s);
             let got = post(&cluster_client, "/ingest", &ingest);
             let want = post(&single_client, "/ingest", &ingest);
-            assert_eq!(got, want, "pair {p}: scattered ingest diverged");
+            assert_eq!(got, want, "pair {p}: cluster ingest diverged");
             let crosswalk = crosswalk_body(&universe, p, &mut s);
             let got = post(&cluster_client, "/crosswalk", &crosswalk);
             let want = post(&single_client, "/crosswalk", &crosswalk);
@@ -353,10 +351,6 @@ fn main() {
         .iter()
         .find(|r| r.0 == 1 && r.1)
         .expect("1-shard row");
-    let two = results
-        .iter()
-        .find(|r| r.0 == 2 && r.1)
-        .expect("2-shard row");
     let four = results
         .iter()
         .find(|r| r.0 == 4 && r.1)
@@ -364,14 +358,9 @@ fn main() {
 
     // What the hop costs: coordinator-in-the-middle minus direct.
     let proxy_overhead_ms = one.3 - direct.3;
-    // What scatter/gather costs: a scattered batch (2 shards: split,
-    // partial-fold on each, merge, fold on the owner) minus the same
-    // batch folded whole on a single node.
-    let scatter_gather_overhead_ms = two.5 - direct.5;
     let speedup_4 = four.2 / direct.2;
     eprintln!(
-        "proxy overhead {proxy_overhead_ms:.3} ms, scatter/gather overhead \
-         {scatter_gather_overhead_ms:.3} ms, 4-shard crosswalk speedup {speedup_4:.2}x"
+        "proxy overhead {proxy_overhead_ms:.3} ms, 4-shard crosswalk speedup {speedup_4:.2}x"
     );
 
     if hardware_threads > 1 {
@@ -401,10 +390,6 @@ fn main() {
     let _ = writeln!(json, "{}", rows.join(",\n"));
     let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"proxy_overhead_ms\": {proxy_overhead_ms:.3},");
-    let _ = writeln!(
-        json,
-        "  \"scatter_gather_overhead_ms\": {scatter_gather_overhead_ms:.3},"
-    );
     let _ = writeln!(json, "  \"crosswalk_speedup_4_shards\": {speedup_4:.3}");
     json.push_str("}\n");
     std::fs::write(&out_path, &json).expect("write BENCH_cluster.json");

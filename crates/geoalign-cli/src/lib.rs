@@ -98,10 +98,9 @@ USAGE:
                        [--event-loop epoll|poll] [--data-dir DIR]
                        [--debug-endpoints]
     geoalign cluster   serve --shard NAME=PRIMARY[,STANDBY] [--shard ...]
-                       [--addr HOST:PORT] [--scatter-threshold N]
-                       [--fail-threshold K] [--health-interval-ms MS]
-                       [--timeout-ms MS] [--connect-timeout-ms MS]
-                       [--retries N] [--max-in-flight N]
+                       [--addr HOST:PORT] [--fail-threshold K]
+                       [--health-interval-ms MS] [--timeout-ms MS]
+                       [--connect-timeout-ms MS] [--retries N]
                        [--access-log LOG.jsonl] [--threads N]
     geoalign cluster   standby --data-dir DIR --primary HOST:PORT
                        [--addr HOST:PORT] [--pull-interval-ms MS]
@@ -149,11 +148,11 @@ FLAGS:
                        stdout (feed to flamegraph.pl)
 
 CLUSTER SUBCOMMANDS (see DESIGN.md §16):
-    cluster serve    scatter/gather coordinator over N shard backends:
-                     routes each (source,target) pair to its owner shard,
-                     scatters large ingest batches, broadcasts
-                     registrations, health-checks shards, and fails a
-                     dead primary over to its WAL-shipping standby
+    cluster serve    routing coordinator over N shard backends: forwards
+                     each /crosswalk and /ingest to the owner shard of its
+                     (source,target) pair, broadcasts registrations,
+                     health-checks shards, and fails a dead primary over
+                     to its WAL-shipping standby
     cluster standby  warm standby: pulls the primary's snapshot + WAL
                      over /replica/*, refuses data traffic until
                      POST /replica/promote verifies the copy and opens
@@ -333,20 +332,16 @@ pub struct ClusterServeArgs {
     pub addr: String,
     /// The shard map, one entry per `--shard name=primary[,standby]`.
     pub shards: Vec<geoalign_cluster::ShardSpec>,
-    /// Ingest batches with at least this many points scatter.
-    pub scatter_threshold: usize,
     /// Consecutive failed health probes before failover.
     pub fail_threshold: u32,
     /// Milliseconds between health-probe rounds.
     pub health_interval_ms: u64,
-    /// Per-hop read deadline in milliseconds (the scatter timeout).
+    /// Per-hop read deadline in milliseconds.
     pub timeout_ms: u64,
     /// TCP connect deadline in milliseconds.
     pub connect_timeout_ms: u64,
     /// Connection-level retries per hop.
     pub retries: u32,
-    /// Concurrent outbound requests per fan-out.
-    pub max_in_flight: usize,
     /// JSON-lines access-log path; `None` disables it.
     pub access_log: Option<String>,
     /// Override of the process-wide thread budget (`--threads`).
@@ -358,13 +353,11 @@ impl Default for ClusterServeArgs {
         ClusterServeArgs {
             addr: "127.0.0.1:8078".to_owned(),
             shards: Vec::new(),
-            scatter_threshold: 64,
             fail_threshold: 3,
             health_interval_ms: 500,
             timeout_ms: 5000,
             connect_timeout_ms: 500,
             retries: 2,
-            max_in_flight: 8,
             access_log: None,
             threads: None,
         }
@@ -393,7 +386,7 @@ pub struct ClusterStandbyArgs {
 /// Parsed command line for `geoalign cluster`.
 #[derive(Debug, Clone)]
 pub enum ClusterArgs {
-    /// Run the scatter/gather coordinator.
+    /// Run the routing coordinator.
     Serve(ClusterServeArgs),
     /// Run a WAL-shipping standby.
     Standby(ClusterStandbyArgs),
@@ -447,9 +440,6 @@ pub fn parse_cluster_args(args: &[String]) -> Result<ClusterArgs, CliError> {
                     "--shard" => parsed
                         .shards
                         .push(parse_shard_spec(&need(&mut it, "--shard")?)?),
-                    "--scatter-threshold" => {
-                        parsed.scatter_threshold = positive(&mut it, "--scatter-threshold")?;
-                    }
                     "--fail-threshold" => {
                         parsed.fail_threshold = positive(&mut it, "--fail-threshold")? as u32;
                     }
@@ -467,9 +457,6 @@ pub fn parse_cluster_args(args: &[String]) -> Result<ClusterArgs, CliError> {
                         parsed.retries = need(&mut it, "--retries")?
                             .parse()
                             .map_err(|_| CliError::Usage("--retries needs an integer".into()))?;
-                    }
-                    "--max-in-flight" => {
-                        parsed.max_in_flight = positive(&mut it, "--max-in-flight")?;
                     }
                     "--access-log" => parsed.access_log = Some(need(&mut it, "--access-log")?),
                     "--threads" => parsed.threads = Some(positive(&mut it, "--threads")?),
@@ -1055,8 +1042,6 @@ mod tests {
             "s0=127.0.0.1:9001,127.0.0.1:9004",
             "--shard",
             "s1=127.0.0.1:9002",
-            "--scatter-threshold",
-            "16",
             "--fail-threshold",
             "2",
             "--timeout-ms",
@@ -1073,7 +1058,6 @@ mod tests {
         assert_eq!(args.shards[0].name, "s0");
         assert_eq!(args.shards[0].standby.as_deref(), Some("127.0.0.1:9004"));
         assert_eq!(args.shards[1].standby, None);
-        assert_eq!(args.scatter_threshold, 16);
         assert_eq!(args.fail_threshold, 2);
         assert_eq!(args.timeout_ms, 250);
         assert_eq!(args.retries, 0);

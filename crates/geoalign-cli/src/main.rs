@@ -189,8 +189,6 @@ fn real_main(args: &[String]) -> Result<(), CliError> {
                 };
                 let mut config = geoalign_cluster::CoordinatorConfig::new(parsed.shards.clone());
                 config.client = client;
-                config.scatter_threshold = parsed.scatter_threshold;
-                config.max_in_flight = parsed.max_in_flight;
                 config.fail_threshold = parsed.fail_threshold;
                 config.health_interval =
                     std::time::Duration::from_millis(parsed.health_interval_ms);

@@ -1,8 +1,8 @@
 //! End-to-end cluster proof, all real processes over loopback: 3 shard
-//! primaries with WAL-shipping standbys behind a scatter/gather
-//! coordinator answer `/crosswalk` and `/ingest` byte-identically to a
-//! single-node oracle — including after `kill -9` of the owning shard's
-//! primary and failover onto its promoted standby.
+//! primaries with WAL-shipping standbys behind a routing coordinator
+//! answer `/crosswalk` and `/ingest` byte-identically to a single-node
+//! oracle — including after `kill -9` of the owning shard's primary and
+//! failover onto its promoted standby.
 
 mod util;
 
@@ -47,9 +47,7 @@ fn start_standby(dir: &Path, primary: &str) -> Proc {
     )
 }
 
-/// The registration + ingest + crosswalk script both sides replay. The
-/// ingest batch has enough points to trip the coordinator's scatter
-/// threshold of 4.
+/// The registration + ingest + crosswalk script both sides replay.
 fn script() -> Vec<(&'static str, &'static str, String)> {
     let points: Vec<String> = (0..12)
         .map(|i| {
@@ -174,8 +172,6 @@ fn three_shard_cluster_matches_single_node_through_kill9_failover() {
         args.push(flag);
     }
     args.extend_from_slice(&[
-        "--scatter-threshold",
-        "4",
         "--fail-threshold",
         "2",
         "--health-interval-ms",

@@ -4,7 +4,7 @@
 //! strictly bounded response parsing. `std`-only, like everything else
 //! in the workspace.
 //!
-//! Timeouts are deliberately *not* retried: a scatter hop that timed
+//! Timeouts are deliberately *not* retried: a shard hop that timed
 //! out maps to `504 Gateway Timeout` at the coordinator, and retrying
 //! it would stack another full timeout onto an already-blown budget.
 //! Connection failures (refused, reset, a stale pooled socket) are
@@ -26,7 +26,7 @@ const MAX_BODY_BYTES: usize = 256 << 20;
 pub struct ClientConfig {
     /// TCP connect deadline.
     pub connect_timeout: Duration,
-    /// Socket read deadline per request (the scatter timeout).
+    /// Socket read deadline per request (the shard-hop timeout).
     pub read_timeout: Duration,
     /// Additional attempts after a connection-level failure.
     pub retries: u32,

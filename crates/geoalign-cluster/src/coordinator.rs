@@ -1,15 +1,12 @@
-//! The scatter/gather coordinator: a thin front end that owns no
-//! crosswalk state of its own. It consistently hashes each
-//! `(source, target)` pair to an owner shard, forwards single-shard
-//! requests verbatim, splits large ingest batches across all shards via
-//! the stateless `/ingest/partial` endpoint and folds the merged
-//! [`AggState`] into the owner with `/ingest/state`, and broadcasts
-//! registrations so every shard can compute a partial for any pair.
+//! The cluster coordinator: a router that owns no crosswalk state of
+//! its own. It consistently hashes each `(source, target)` pair to an
+//! owner shard, forwards `/crosswalk` and `/ingest` bodies to that owner
+//! verbatim, and broadcasts registrations to every shard.
 //!
 //! Answers stay byte-identical to a single node (DESIGN.md §16): the
 //! owner shard holds exactly the per-pair state a single node would
-//! consult, and `AggState::merge` is split-invariant in the bits, so a
-//! scattered fold produces the same encoded state as one big batch.
+//! consult and folds every ingest batch of the pair whole, as a single
+//! node would.
 //!
 //! The coordinator plugs into a [`geoalign_serve::Server`] through the
 //! route-override hook ([`Coordinator::install`]); the serve layer's
@@ -17,13 +14,12 @@
 //! unchanged. Outbound hops carry the request's `X-Trace-Id`, and each
 //! shard's `X-Cost` reply is folded back into the coordinator request's
 //! cost as a labelled sub-cost, so one trace and one cost object cover
-//! the whole fan-out.
+//! every hop.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use geoalign_agg::AggState;
 use geoalign_obs::{cost, current_trace_id, Registry, SubCost};
 use geoalign_serve::store::RouteOverride;
 use geoalign_serve::{json, AppState, Json, Request, Response};
@@ -52,11 +48,6 @@ pub struct CoordinatorConfig {
     pub shards: Vec<ShardSpec>,
     /// Outbound HTTP client settings.
     pub client: ClientConfig,
-    /// Ingest batches with at least this many points scatter across all
-    /// shards; smaller ones forward to the owner whole.
-    pub scatter_threshold: usize,
-    /// Concurrent outbound requests per fan-out.
-    pub max_in_flight: usize,
     /// Consecutive failed health probes before failover.
     pub fail_threshold: u32,
     /// Delay between health-probe rounds.
@@ -64,14 +55,12 @@ pub struct CoordinatorConfig {
 }
 
 impl CoordinatorConfig {
-    /// Defaults for `shards`: scatter at 64 points, 8 in flight,
-    /// failover after 3 misses, probe every 500 ms.
+    /// Defaults for `shards`: failover after 3 misses, probe every
+    /// 500 ms.
     pub fn new(shards: Vec<ShardSpec>) -> CoordinatorConfig {
         CoordinatorConfig {
             shards,
             client: ClientConfig::default(),
-            scatter_threshold: 64,
-            max_in_flight: 8,
             fail_threshold: 3,
             health_interval: Duration::from_millis(500),
         }
@@ -122,7 +111,7 @@ impl Shard {
     }
 }
 
-/// The scatter/gather front end. Construct with [`Coordinator::new`],
+/// The routing front end. Construct with [`Coordinator::new`],
 /// attach to a server with [`Coordinator::install`], and drive failover
 /// with [`Coordinator::run_health_loop`] (or [`health_round`] directly
 /// in tests).
@@ -133,8 +122,6 @@ pub struct Coordinator {
     ring: HashRing,
     shards: Vec<Shard>,
     metrics: ClusterMetrics,
-    scatter_threshold: usize,
-    max_in_flight: usize,
     fail_threshold: u32,
     health_interval: Duration,
 }
@@ -173,8 +160,6 @@ impl Coordinator {
             ring: HashRing::new(&names),
             shards,
             metrics: ClusterMetrics::new(),
-            scatter_threshold: config.scatter_threshold.max(1),
-            max_in_flight: config.max_in_flight.max(1),
             fail_threshold: config.fail_threshold.max(1),
             health_interval: config.health_interval,
         }))
@@ -197,8 +182,7 @@ impl Coordinator {
     /// of the (empty) local [`AppState`].
     pub fn handle(&self, req: &Request) -> Option<Response> {
         let resp = match (req.method.as_str(), req.path.as_str()) {
-            ("POST", "/crosswalk") => self.route_to_owner(req),
-            ("POST", "/ingest") => self.ingest(req),
+            ("POST", "/crosswalk") | ("POST", "/ingest") => self.route_to_owner(req),
             ("POST", "/systems") | ("POST", "/references") | ("POST", "/checkpoint") => {
                 self.broadcast(req)
             }
@@ -266,9 +250,10 @@ impl Coordinator {
         }
     }
 
-    /// `/crosswalk`: forward verbatim to the pair's owner. Bodies that
-    /// don't parse far enough to name a pair go to shard 0, whose error
-    /// response matches what a single node would say.
+    /// `/crosswalk` and `/ingest`: forward verbatim to the pair's owner,
+    /// which validates and folds the whole body as a single node would.
+    /// Bodies that don't parse far enough to name a pair go to shard 0,
+    /// whose error response matches what a single node would say.
     fn route_to_owner(&self, req: &Request) -> Response {
         let owner = req
             .body_text()
@@ -276,140 +261,6 @@ impl Coordinator {
             .and_then(|body| owner_of(&self.ring, body))
             .unwrap_or(0);
         self.proxy(owner, req)
-    }
-
-    /// `/ingest`: small batches forward whole to the owner; batches of
-    /// at least `scatter_threshold` points split into contiguous slices
-    /// computed in parallel on all shards, then fold into the owner.
-    fn ingest(&self, req: &Request) -> Response {
-        let doc = match req.body_text().ok().and_then(|t| json::parse(t).ok()) {
-            Some(doc) => doc,
-            None => return self.proxy(0, req),
-        };
-        let pair = (|| {
-            let source = doc.get("source")?.as_str()?;
-            let target = doc.get("target")?.as_str()?;
-            let attribute = doc.get("attribute")?.as_str()?;
-            Some((source.to_owned(), target.to_owned(), attribute.to_owned()))
-        })();
-        let Some((source, target, attribute)) = pair else {
-            return self.proxy(0, req);
-        };
-        let owner = self.ring.shard_for(&source, &target);
-        let points = doc.get("points").and_then(|p| p.as_array());
-        match points {
-            Some(points) if points.len() >= self.scatter_threshold && self.shards.len() > 1 => {
-                self.scatter_ingest(&source, &target, &attribute, points, owner)
-            }
-            _ => self.proxy(owner, req),
-        }
-    }
-
-    /// The scatter/gather path: slice → `/ingest/partial` fan-out →
-    /// merge in slice order → `/ingest/state` on the owner.
-    fn scatter_ingest(
-        &self,
-        source: &str,
-        target: &str,
-        attribute: &str,
-        points: &[Json],
-        owner: usize,
-    ) -> Response {
-        let t0 = Instant::now();
-        self.metrics.scattered_batches.inc();
-        let trace = trace_headers();
-
-        // Contiguous slices preserve point order; `AggState::merge` in
-        // slice order is then bit-identical to one sequential fold.
-        let per_shard = points.len().div_ceil(self.shards.len());
-        let slices: Vec<&[Json]> = points.chunks(per_shard.max(1)).collect();
-        let jobs: Vec<_> = slices
-            .iter()
-            .enumerate()
-            .map(|(i, slice)| {
-                let body = Json::object([
-                    ("source", source.into()),
-                    ("target", target.into()),
-                    ("attribute", attribute.into()),
-                    ("points", Json::Array(slice.to_vec())),
-                ])
-                .to_string();
-                let backend = self.shards[i].active();
-                let trace = &trace;
-                move || backend.request("POST", "/ingest/partial", trace, body.as_bytes())
-            })
-            .collect();
-        self.metrics.fanout_requests.add(jobs.len() as u64);
-        let results = fan_out(jobs, self.max_in_flight);
-
-        // Gather: every slice must come back 200 before anything is
-        // folded into the owner; `/ingest/partial` is stateless, so a
-        // failed scatter leaves the cluster untouched.
-        let mut merged: Option<AggState> = None;
-        for (i, result) in results.into_iter().enumerate() {
-            let shard_name = &self.shards[i].spec.name;
-            let resp = match result {
-                Ok(resp) => resp,
-                Err(e) => return self.transport_error(shard_name, &e),
-            };
-            self.absorb_cost(&format!("{shard_name}/partial"), &resp);
-            if resp.status != 200 {
-                // A shard rejected its slice (e.g. a bad weight): the
-                // single-node response to the whole batch would be the
-                // same error, so relay it verbatim.
-                return relay(resp);
-            }
-            let partial = match parse_partial_state(&resp) {
-                Ok(state) => state,
-                Err(detail) => {
-                    return Response::error(
-                        502,
-                        &format!("shard {shard_name} returned an invalid partial: {detail}"),
-                    )
-                }
-            };
-            merged = Some(match merged {
-                None => partial,
-                Some(mut acc) => match acc.merge(&partial) {
-                    Ok(()) => acc,
-                    Err(e) => {
-                        return Response::error(
-                            502,
-                            &format!("cannot merge partial from shard {shard_name}: {e}"),
-                        )
-                    }
-                },
-            });
-        }
-        let Some(merged) = merged else {
-            // Unreachable in practice: scatter_threshold ≥ 1 means at
-            // least one slice existed.
-            return Response::error(500, "scatter produced no partials");
-        };
-
-        let fold_body = Json::object([
-            ("source", source.into()),
-            ("target", target.into()),
-            ("attribute", attribute.into()),
-            ("state", hex_encode(&merged.encode()).into()),
-        ])
-        .to_string();
-        let owner_shard = &self.shards[owner];
-        self.metrics.fanout_requests.inc();
-        let resp = match owner_shard.active().request(
-            "POST",
-            "/ingest/state",
-            &trace,
-            fold_body.as_bytes(),
-        ) {
-            Ok(resp) => resp,
-            Err(e) => return self.transport_error(&owner_shard.spec.name, &e),
-        };
-        self.absorb_cost(&format!("{}/fold", owner_shard.spec.name), &resp);
-        self.metrics
-            .scatter_latency
-            .record_value(t0.elapsed().as_micros() as u64);
-        relay(resp)
     }
 
     /// Forwards `req` verbatim to one shard and relays the answer.
@@ -437,10 +288,10 @@ impl Coordinator {
         }
     }
 
-    /// Sends `req` to every shard; registrations must land everywhere
-    /// for the broadcast invariant (each shard can compute any pair's
-    /// partial) to hold. Relays the first shard's response on success,
-    /// the first failure otherwise.
+    /// Sends `req` to every shard; registrations land everywhere, so
+    /// whichever shard owns a pair knows both of its unit systems.
+    /// Relays the first shard's response on success, the first failure
+    /// otherwise.
     fn broadcast(&self, req: &Request) -> Response {
         let trace = trace_headers();
         let jobs: Vec<_> = self
@@ -453,7 +304,7 @@ impl Coordinator {
             })
             .collect();
         self.metrics.fanout_requests.add(jobs.len() as u64);
-        let results = fan_out(jobs, self.max_in_flight);
+        let results = fan_out(jobs);
 
         let mut first: Option<Response> = None;
         for (i, result) in results.into_iter().enumerate() {
@@ -583,32 +434,25 @@ impl Coordinator {
     }
 }
 
-/// Runs `jobs` on scoped threads, at most `max_in_flight` at a time,
-/// returning results in job order. Scoped threads keep the fan-out
-/// bounded and joined before the handler returns — no detached threads,
-/// no channels.
-fn fan_out<T, F>(jobs: Vec<F>, max_in_flight: usize) -> Vec<T>
+/// Runs `jobs` on one scoped thread each, returning results in job
+/// order. Scoped threads are joined before the handler returns — no
+/// detached threads, no channels.
+fn fan_out<T, F>(jobs: Vec<F>) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    let mut results = Vec::with_capacity(jobs.len());
-    let mut remaining = jobs;
-    while !remaining.is_empty() {
-        let take = remaining.len().min(max_in_flight.max(1));
-        let batch: Vec<F> = remaining.drain(..take).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = batch.into_iter().map(|job| scope.spawn(job)).collect();
-            for handle in handles {
-                results.push(
-                    handle
-                        .join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-                );
-            }
-        });
-    }
-    results
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = jobs.into_iter().map(|job| scope.spawn(job)).collect();
+        handles
+            .into_iter()
+            .map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
 }
 
 /// Re-homes a shard's response onto the coordinator's connection,
@@ -620,17 +464,17 @@ fn relay(resp: ClientResponse) -> Response {
         Some(ct) if ct.starts_with("text/plain") => "text/plain; version=0.0.4",
         _ => "application/json",
     };
-    let mut out = Response::json(resp.body.clone());
+    let mut out = Response::json(resp.body);
     out.status = resp.status;
     out.content_type = content_type;
-    for (name, value) in &resp.headers {
+    for (name, value) in resp.headers {
         if matches!(
             name.as_str(),
             "content-length" | "content-type" | "connection" | "x-trace-id" | "x-cost" | "date"
         ) {
             continue;
         }
-        out.set_header(canonical_header(name), value.clone());
+        out.set_header(canonical_header(&name), value);
     }
     out
 }
@@ -654,11 +498,12 @@ fn canonical_header(lower: &str) -> String {
     out
 }
 
-/// The shard owning the pair a `/crosswalk` body names, or `None` when
-/// the body does not parse or names no pair. A byte scan reads the
-/// top-level `"source"` and `"target"` without decoding the (large)
-/// attribute columns; on anything the scan cannot vouch for, the full
-/// parse decides, so the owner is always the one the parse would name.
+/// The shard owning the pair a `/crosswalk` or `/ingest` body names, or
+/// `None` when the body does not parse or names no pair. A byte scan
+/// reads the top-level `"source"` and `"target"` without decoding the
+/// (large) attribute columns or points; on anything the scan cannot
+/// vouch for, the full parse decides, so the owner is always the one the
+/// parse would name.
 fn owner_of(ring: &HashRing, body: &str) -> Option<usize> {
     match json::scan_str_fields(body, ["source", "target"]) {
         Some([source, target]) => Some(ring.shard_for(source, target)),
@@ -675,17 +520,6 @@ fn owner_by_parse(ring: &HashRing, body: &str) -> Option<usize> {
     Some(ring.shard_for(source, target))
 }
 
-/// Decodes the `state` field of an `/ingest/partial` response.
-fn parse_partial_state(resp: &ClientResponse) -> Result<AggState, String> {
-    let doc = json::parse(&resp.body_text()).map_err(|e| format!("unparseable body: {e:?}"))?;
-    let hex = doc
-        .get("state")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "missing state field".to_owned())?;
-    let bytes = hex_decode(hex).ok_or_else(|| "state is not hex".to_owned())?;
-    AggState::decode(&bytes).map_err(|e| format!("undecodable state: {e}"))
-}
-
 /// `X-Trace-Id` for outbound hops, read from the handler thread's trace
 /// scope before any fan-out thread spawns.
 fn trace_headers() -> Vec<(String, String)> {
@@ -693,24 +527,6 @@ fn trace_headers() -> Vec<(String, String)> {
         Some(id) => vec![("X-Trace-Id".to_owned(), id)],
         None => Vec::new(),
     }
-}
-
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-fn hex_decode(text: &str) -> Option<Vec<u8>> {
-    if !text.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..text.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(text.get(i..i + 2)?, 16).ok())
-        .collect()
 }
 
 #[cfg(test)]
@@ -919,10 +735,7 @@ mod tests {
         Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap()
     }
 
-    fn coordinator_over(
-        servers: &[&Server],
-        tweak: impl FnOnce(&mut CoordinatorConfig),
-    ) -> (Arc<Coordinator>, Server) {
+    fn coordinator_over(servers: &[&Server]) -> (Arc<Coordinator>, Server) {
         let shards = servers
             .iter()
             .enumerate()
@@ -932,9 +745,7 @@ mod tests {
                 standby: None,
             })
             .collect();
-        let mut config = CoordinatorConfig::new(shards);
-        tweak(&mut config);
-        let coordinator = Coordinator::new(config).unwrap();
+        let coordinator = Coordinator::new(CoordinatorConfig::new(shards)).unwrap();
         let state = AppState::new(8);
         coordinator.install(&state);
         let front = Server::bind_with_state("127.0.0.1:0", ServerConfig::default(), state).unwrap();
@@ -1007,7 +818,7 @@ mod tests {
         // 3 shards behind a coordinator vs one plain node, same inputs.
         let shards: Vec<Server> = (0..3).map(|_| spawn_shard()).collect();
         let refs: Vec<&Server> = shards.iter().collect();
-        let (coordinator, front) = coordinator_over(&refs, |c| c.scatter_threshold = 4);
+        let (coordinator, front) = coordinator_over(&refs);
         let oracle = spawn_shard();
 
         let requests = world_requests(12);
@@ -1021,7 +832,9 @@ mod tests {
                 "body diverged at step {i}"
             );
         }
-        assert!(coordinator.metrics().scattered_batches.get() >= 1);
+        // The ingest and the crosswalk went to the owner; the three
+        // registrations were broadcast.
+        assert_eq!(coordinator.metrics().proxied_requests.get(), 2);
         for s in shards {
             s.shutdown();
         }
@@ -1030,57 +843,62 @@ mod tests {
     }
 
     #[test]
-    fn small_batches_proxy_whole_instead_of_scattering() {
+    fn ingest_reaches_only_the_owner_shard() {
         let shards: Vec<Server> = (0..2).map(|_| spawn_shard()).collect();
         let refs: Vec<&Server> = shards.iter().collect();
-        let (coordinator, front) = coordinator_over(&refs, |c| c.scatter_threshold = 64);
-        let oracle = spawn_shard();
-
-        let requests = world_requests(3);
-        let got = run_world(&client_for(&front), &requests);
-        let want = run_world(&client_for(&oracle), &requests);
-        assert_eq!(got, want);
-        assert_eq!(coordinator.metrics().scattered_batches.get(), 0);
-        assert!(coordinator.metrics().proxied_requests.get() >= 1);
-        for s in shards {
-            s.shutdown();
-        }
-        front.shutdown();
-        oracle.shutdown();
-    }
-
-    #[test]
-    fn bad_slices_relay_the_shards_400_and_fold_nothing() {
-        let shards: Vec<Server> = (0..2).map(|_| spawn_shard()).collect();
-        let refs: Vec<&Server> = shards.iter().collect();
-        let (_coordinator, front) = coordinator_over(&refs, |c| c.scatter_threshold = 2);
+        let (coordinator, front) = coordinator_over(&refs);
         let client = client_for(&front);
-        for (method, path, body) in world_requests(0).iter().take(3) {
-            assert_eq!(
-                client
-                    .request(method, path, &[], body.as_bytes())
-                    .unwrap()
-                    .status,
-                200
-            );
+        let requests = world_requests(1000);
+        for (method, path, body) in &requests[..3] {
+            let r = client.request(method, path, &[], body.as_bytes()).unwrap();
+            assert_eq!(r.status, 200, "{}", r.body_text());
         }
-        // A negative weight anywhere rejects the whole batch, exactly as
-        // a single node would.
-        let r = client
-            .request(
-                "POST",
-                "/ingest",
-                &[],
-                br#"{"source":"zip","target":"county","attribute":"h",
-                    "points":[["z1","A",1],["z2","B",2],["z3","B",-4],["z1","A",3]]}"#,
-            )
-            .unwrap();
-        assert_eq!(r.status, 400, "{}", r.body_text());
-        assert!(r.body_text().contains("weight"), "{}", r.body_text());
+        let proxied = coordinator.metrics().proxied_requests.get();
+        let (_, path, body) = &requests[3];
+        let r = client.request("POST", path, &[], body.as_bytes()).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body_text());
+
+        assert_eq!(coordinator.metrics().proxied_requests.get(), proxied + 1);
+        let names = ["shard-0".to_owned(), "shard-1".to_owned()];
+        let owner = HashRing::new(&names).shard_for("zip", "county");
+        let batches = |i: usize| shards[i].state().metrics.ingest_batch_points.count();
+        assert_eq!(batches(owner), 1);
+        assert_eq!(batches(1 - owner), 0);
         for s in shards {
             s.shutdown();
         }
         front.shutdown();
+    }
+
+    #[test]
+    fn bad_batch_relays_the_owners_400_and_folds_nothing() {
+        let shards: Vec<Server> = (0..2).map(|_| spawn_shard()).collect();
+        let refs: Vec<&Server> = shards.iter().collect();
+        let (_coordinator, front) = coordinator_over(&refs);
+        let oracle = spawn_shard();
+        let requests = world_requests(0);
+        // A negative weight anywhere rejects the whole batch: the owner's
+        // 400 comes back byte for byte as a single node says it.
+        let bad = r#"{"source":"zip","target":"county","attribute":"h",
+            "points":[["z1","A",1],["z2","B",2],["z3","B",-4],["z1","A",3]]}"#;
+        let mut world: Vec<(&str, &str, String)> = requests[..3].to_vec();
+        world.push(("POST", "/ingest", bad.to_owned()));
+        world.push(requests[4].clone());
+        let got = run_world(&client_for(&front), &world);
+        let want = run_world(&client_for(&oracle), &world);
+        assert_eq!(got, want);
+        let (status, body) = &got[3];
+        assert_eq!(*status, 400);
+        assert!(String::from_utf8_lossy(body).contains("weight"));
+        // No shard registered a streaming reference for the pair.
+        for s in &shards {
+            assert_eq!(s.state().pipeline().reference_count("zip", "county"), 1);
+        }
+        for s in shards {
+            s.shutdown();
+        }
+        front.shutdown();
+        oracle.shutdown();
     }
 
     #[test]

@@ -1,22 +1,18 @@
-//! **geoalign-cluster** — sharded scatter/gather serving with
+//! **geoalign-cluster** — sharded serving by pair routing, with
 //! WAL-shipping replicas and failover, on `std` only.
 //!
 //! A GeoAlign cluster is a [`coordinator`] front end over N shard
 //! backends (plain `geoalign serve` processes), each optionally paired
-//! with a WAL-shipping [`standby`]. The design leans on two properties
+//! with a WAL-shipping [`standby`]. The design leans on one property
 //! the rest of the workspace already guarantees:
 //!
 //! * **Pairs are independent.** A crosswalk answer depends only on its
 //!   `(source, target)` pair's references and ingest stream, so the
-//!   [`ring`] assigns whole pairs to shards and every answer stays
-//!   byte-identical to a single node. Registrations broadcast to all
-//!   shards so any shard can compute an ingest partial for any pair.
-//! * **Aggregation state merges exactly.** `AggState`'s exact-sum
-//!   accumulators make `merge` split-invariant in the bits, so the
-//!   coordinator can scatter one large ingest batch across all shards
-//!   (`/ingest/partial`), merge the partials in slice order, and fold
-//!   the result into the owner (`/ingest/state`) without perturbing a
-//!   single bit relative to one sequential fold.
+//!   [`ring`] assigns whole pairs to shards. The coordinator forwards
+//!   each `/crosswalk` and `/ingest` body unchanged to the pair's owner,
+//!   which does exactly the work a single node would, so every answer
+//!   stays byte-identical to a single node. Registrations broadcast to
+//!   all shards so any owner knows both unit systems of its pairs.
 //!
 //! Durability rides the existing store: a primary ships its snapshot
 //! and sealed WAL prefixes over `/replica/*` (see
@@ -25,9 +21,8 @@
 //! driven by the coordinator's health prober — promotes the standby
 //! through the normal crash-recovery path. Every hop propagates
 //! `X-Trace-Id` and folds shard `X-Cost` replies into the front-end
-//! request's cost, so one trace and one cost object cover a whole
-//! fan-out. DESIGN.md §16 documents the protocol and the bit-identity
-//! argument.
+//! request's cost, so one trace and one cost object cover every hop.
+//! DESIGN.md §16 documents the protocol and the bit-identity argument.
 
 #![warn(missing_docs)]
 

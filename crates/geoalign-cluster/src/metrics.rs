@@ -15,9 +15,7 @@ pub struct ClusterMetrics {
     pub requests: Counter,
     /// Requests forwarded verbatim to a single owner shard.
     pub proxied_requests: Counter,
-    /// Ingest batches split across shards via `/ingest/partial`.
-    pub scattered_batches: Counter,
-    /// Individual shard-bound requests issued during fan-outs.
+    /// Individual shard-bound requests issued by registration broadcasts.
     pub fanout_requests: Counter,
     /// Connection-level retries performed by the HTTP client.
     pub client_retries: Counter,
@@ -29,8 +27,6 @@ pub struct ClusterMetrics {
     pub shard_unavailable: Counter,
     /// Requests failed with 504 because a shard hop timed out.
     pub gateway_timeouts: Counter,
-    /// Wall time of scatter/gather ingests, end to end.
-    pub scatter_latency: Arc<Histogram>,
     /// Wall time of single-shard proxied requests.
     pub proxy_latency: Arc<Histogram>,
     /// Replica pull rounds completed by a standby.
@@ -52,10 +48,6 @@ impl ClusterMetrics {
         let proxied_requests = registry.counter(
             "geoalign_cluster_proxied_requests_total",
             "requests forwarded verbatim to one owner shard",
-        );
-        let scattered_batches = registry.counter(
-            "geoalign_cluster_scattered_batches_total",
-            "ingest batches split across shards",
         );
         let fanout_requests = registry.counter(
             "geoalign_cluster_fanout_requests_total",
@@ -81,10 +73,6 @@ impl ClusterMetrics {
             "geoalign_cluster_gateway_timeouts_total",
             "504 responses because a shard hop timed out",
         );
-        let scatter_latency = registry.histogram(
-            "geoalign_cluster_scatter_latency_micros",
-            "scatter/gather ingest wall time",
-        );
         let proxy_latency = registry.histogram(
             "geoalign_cluster_proxy_latency_micros",
             "single-shard proxied request wall time",
@@ -105,14 +93,12 @@ impl ClusterMetrics {
             registry,
             requests,
             proxied_requests,
-            scattered_batches,
             fanout_requests,
             client_retries,
             health_checks,
             failover_transitions,
             shard_unavailable,
             gateway_timeouts,
-            scatter_latency,
             proxy_latency,
             replica_pull_rounds,
             replica_pull_bytes,
@@ -140,11 +126,11 @@ mod tests {
     fn names_follow_the_workspace_scheme_and_expose() {
         let m = ClusterMetrics::new();
         m.requests.inc();
-        m.scatter_latency.record_value(12);
+        m.proxy_latency.record_value(12);
         let text = geoalign_obs::expo::prometheus_text([m.registry()]);
         assert!(text.contains("geoalign_cluster_requests_total 1"), "{text}");
         assert!(
-            text.contains("geoalign_cluster_scatter_latency_micros_count 1"),
+            text.contains("geoalign_cluster_proxy_latency_micros_count 1"),
             "{text}"
         );
         // Built at runtime so the check.sh literal-name scan only sees

@@ -59,8 +59,6 @@ const DATA_ROUTES: &[&str] = &[
     "/systems",
     "/references",
     "/ingest",
-    "/ingest/partial",
-    "/ingest/state",
     "/crosswalk",
     "/checkpoint",
 ];

@@ -458,6 +458,13 @@ mod tests {
         );
     }
 
+    /// Held by every test that evicts: the obs eviction counter is
+    /// process-wide, and one test asserts its exact delta.
+    fn evicting_lock() -> std::sync::MutexGuard<'static, ()> {
+        static EVICTING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        EVICTING.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn hit_and_miss_counters() {
         let store = CrosswalkStore::new(8);
@@ -475,6 +482,7 @@ mod tests {
 
     #[test]
     fn capacity_is_enforced_with_lru_eviction() {
+        let _serial = evicting_lock();
         let store = CrosswalkStore::new(2);
         let refs: Vec<ReferenceData> = (0..5)
             .map(|k| make_ref(&format!("r{k}"), k as f64 + 1.0))
@@ -590,6 +598,7 @@ mod tests {
         // Regression guard for the eviction metric: the counter (and its
         // obs twin) must tick exactly once per entry actually removed —
         // never for replacements, invalidations, or failed prepares.
+        let _serial = evicting_lock();
         let store = CrosswalkStore::new(3);
         let refs: Vec<ReferenceData> = (0..10)
             .map(|k| make_ref(&format!("r{k}"), k as f64 + 1.0))
@@ -627,6 +636,7 @@ mod tests {
         // Hammer a capacity-1 store from several threads; every eviction
         // decision races with the others. Conservation must hold exactly:
         // entries inserted == entries evicted + entries still present.
+        let _serial = evicting_lock();
         let store = CrosswalkStore::new(1);
         let refs: Vec<ReferenceData> = (0..8)
             .map(|k| make_ref(&format!("c{k}"), k as f64 + 1.0))

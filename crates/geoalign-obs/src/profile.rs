@@ -313,15 +313,19 @@ fn sampler_loop(interval: Duration, stop: &AtomicBool) -> SamplerOutput {
         skipped_samples: 0,
         busy: Duration::ZERO,
     };
-    while !stop.load(Ordering::SeqCst) {
+    // Sweep before the first stop check, so a profile stopped before the
+    // sampler thread was first scheduled still holds one sweep.
+    loop {
         let t0 = Instant::now();
         sweep(&mut out);
         out.sweeps += 1;
         let spent = t0.elapsed();
         out.busy += spent;
+        if stop.load(Ordering::SeqCst) {
+            return out;
+        }
         std::thread::sleep(interval.saturating_sub(spent));
     }
-    out
 }
 
 fn sweep(out: &mut SamplerOutput) {
@@ -486,6 +490,14 @@ impl ProfileReport {
 mod tests {
     use super::*;
 
+    /// Held by every test that starts a profiler: the active count is
+    /// process-wide, so a parallel test's profiler would show in it.
+    static PROFILER_TESTS: Mutex<()> = Mutex::new(());
+
+    fn profiler_lock() -> std::sync::MutexGuard<'static, ()> {
+        PROFILER_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn interning_is_stable_and_reversible() {
         let a = intern("profile_test_phase_a");
@@ -538,6 +550,7 @@ mod tests {
 
     #[test]
     fn profiler_captures_a_busy_span() {
+        let _serial = profiler_lock();
         let profiler = Profiler::start(4000);
         assert!(profiling_active());
         // Keep a distinctive span busy long enough for several sweeps.
@@ -567,14 +580,11 @@ mod tests {
 
     #[test]
     fn profiling_flag_clears_after_stop() {
-        let before = profiling_active();
+        let _serial = profiler_lock();
+        assert!(!profiling_active());
         let p = Profiler::start(100);
         assert!(profiling_active());
         drop(p); // Drop without stop() must also unwind the active count.
-                 // Another profiler may be running in a parallel test; only assert
-                 // we returned to the prior state when none was active before.
-        if !before {
-            assert!(!profiling_active());
-        }
+        assert!(!profiling_active());
     }
 }

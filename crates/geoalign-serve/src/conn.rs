@@ -361,11 +361,7 @@ impl Connection {
         }
         let response = Response::from(error);
         ctx.metrics.record_request(response.status, Duration::ZERO);
-        let mut bytes = Vec::with_capacity(256);
-        response
-            .write_to(&mut bytes)
-            .expect("serializing to a Vec cannot fail");
-        self.start_write(bytes, AfterWrite::Linger, ctx)
+        self.start_write(response.to_bytes(), AfterWrite::Linger, ctx)
     }
 
     /// A response is ready (from a worker completion or an inline

@@ -537,32 +537,41 @@ impl Response {
         self.headers.push((name.into(), value.into()));
     }
 
-    /// Serializes the response onto `stream` as a single write, so a
-    /// keep-alive socket never has a partial response stuck behind
-    /// Nagle's algorithm waiting on a delayed ACK.
-    pub fn write_to<S: Write>(&self, stream: &mut S) -> std::io::Result<()> {
-        let reason = reason_phrase(self.status);
+    /// The response's wire bytes, head then body, in one buffer. The body
+    /// is copied once, into room reserved for exactly it after the head,
+    /// so a large reply is never copied again by a regrowing buffer.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        use std::fmt::Write as _;
         let connection = if self.connection_close {
             "close"
         } else {
             "keep-alive"
         };
-        let mut buf = Vec::with_capacity(256 + self.body.len());
-        write!(
-            buf,
+        let mut head = String::with_capacity(128);
+        let _ = write!(
+            head,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
-            reason,
+            reason_phrase(self.status),
             self.content_type,
             self.body.len(),
             connection
-        )?;
+        );
         for (name, value) in &self.headers {
-            write!(buf, "{name}: {value}\r\n")?;
+            let _ = write!(head, "{name}: {value}\r\n");
         }
-        write!(buf, "\r\n")?;
-        buf.extend_from_slice(&self.body);
-        stream.write_all(&buf)?;
+        head.push_str("\r\n");
+        let mut bytes = head.into_bytes();
+        bytes.reserve_exact(self.body.len());
+        bytes.extend_from_slice(&self.body);
+        bytes
+    }
+
+    /// Serializes the response onto `stream` as a single write, so a
+    /// keep-alive socket never has a partial response stuck behind
+    /// Nagle's algorithm waiting on a delayed ACK.
+    pub fn write_to<S: Write>(&self, stream: &mut S) -> std::io::Result<()> {
+        stream.write_all(&self.to_bytes())?;
         stream.flush()
     }
 }
@@ -768,6 +777,21 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 404 Not Found\r\n"));
         assert!(text.contains(r#"{"error":"no such route"}"#));
+
+        // A large reply lands in one buffer that holds exactly head and
+        // body, byte for byte what `write_to` sends.
+        let mut resp = Response::json(vec![b'7'; 300_000]);
+        resp.set_header("X-Trace-Id", "t1");
+        let bytes = resp.to_bytes();
+        let head = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                    Content-Length: 300000\r\nConnection: keep-alive\r\n\
+                    X-Trace-Id: t1\r\n\r\n";
+        assert_eq!(&bytes[..head.len()], head.as_bytes());
+        assert_eq!(bytes[head.len()..], resp.body[..]);
+        assert_eq!(bytes.capacity(), bytes.len());
+        let mut out = Vec::new();
+        resp.write_to(&mut out).unwrap();
+        assert_eq!(out, bytes);
     }
 
     #[test]

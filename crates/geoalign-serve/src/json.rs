@@ -348,10 +348,10 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                             {
                                 *pos += 2;
                                 let low = parse_hex4(bytes, pos)?;
-                                let combined = 0x10000
-                                    + ((code - 0xD800) << 10)
-                                    + (low.wrapping_sub(0xDC00) & 0x3FF);
-                                char::from_u32(combined)
+                                (0xDC00..0xE000)
+                                    .contains(&low)
+                                    .then(|| 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
+                                    .and_then(char::from_u32)
                             } else {
                                 None
                             }
@@ -396,8 +396,13 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, JsonError> {
     let Some(slice) = bytes.get(*pos..*pos + 4) else {
         return Err(err("truncated \\u escape", *pos));
     };
-    let text = std::str::from_utf8(slice).map_err(|_| err("bad \\u escape", *pos))?;
-    let code = u32::from_str_radix(text, 16).map_err(|_| err("bad \\u escape", *pos))?;
+    let mut code = 0;
+    for &b in slice {
+        let digit = char::from(b)
+            .to_digit(16)
+            .ok_or_else(|| err("bad \\u escape", *pos))?;
+        code = (code << 4) | digit;
+    }
     *pos += 4;
     Ok(code)
 }
@@ -911,6 +916,42 @@ mod tests {
         let j = Json::String("a\"b\n".to_owned());
         assert_eq!(j.to_string(), r#""a\"b\n""#);
         assert_eq!(parse(&j.to_string()).unwrap(), j);
+    }
+
+    #[test]
+    fn unicode_escapes_are_strict() {
+        // Valid pairs, at both ends of the supplementary planes.
+        assert_eq!(
+            parse(r#""\ud834\udd1e""#).unwrap().as_str(),
+            Some("\u{1D11E}")
+        );
+        assert_eq!(
+            parse(r#""\ud800\udc00\udbff\udfff""#).unwrap().as_str(),
+            Some("\u{10000}\u{10FFFF}")
+        );
+        for bad in [
+            // A high surrogate followed by an escape that is no low one.
+            r#""\ud800\u0041""#,
+            r#""\ud800\ud800""#,
+            r#""\ud800\ue000""#,
+            // A lone low surrogate.
+            r#""\udc00""#,
+            r#""x\udfffy""#,
+            // Truncated pairs.
+            r#""\ud800""#,
+            r#""\ud800x""#,
+            r#""\ud800\u00""#,
+            r#""\ud800\"#,
+            // Exactly four hex digits: no sign, space or prefix.
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u0x41""#,
+            r#""\u004g""#,
+        ] {
+            let e = parse(bad).expect_err(bad);
+            assert_eq!(e.kind, JsonErrorKind::Syntax, "{bad}");
+        }
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! | POST   | `/systems`          | register a unit system                         |
 //! | POST   | `/references`       | register a reference crosswalk                 |
 //! | POST   | `/ingest`           | fold a point batch into a streaming reference  |
-//! | POST   | `/ingest/partial`   | locate a batch, return its mergeable state     |
-//! | POST   | `/ingest/state`     | fold an already-merged state (scatter/gather)  |
 //! | POST   | `/crosswalk`        | apply one crosswalk to a batch of attributes   |
 //! | GET    | `/healthz`          | readiness: store size, uptime, build info      |
 //! | GET    | `/metrics`          | counters, cache stats, latency histograms      |
@@ -14,13 +12,8 @@
 //! | GET    | `/replica/segment`  | one segment's clean prefix, `?index=N&from=M`  |
 //! | GET    | `/replica/snapshot` | the committed snapshot file                    |
 //!
-//! The `/ingest/{partial,state}` pair and the `/replica/*` family exist
-//! for `geoalign-cluster`: the coordinator scatters a large `/ingest`
-//! batch as `/ingest/partial` calls, merges the returned states (the
-//! superaccumulator merge is split-invariant, so the result is
-//! bit-identical to one big `/ingest`), and folds once via
-//! `/ingest/state` at the pair's owner; warm standbys converge on a
-//! primary's durable directory through `/replica/*` (DESIGN.md §16).
+//! The `/replica/*` family exists for `geoalign-cluster`: warm standbys
+//! converge on a primary's durable directory through it (DESIGN.md §16).
 //!
 //! `/metrics` serves the JSON snapshot by default and Prometheus text
 //! exposition when asked — either `GET /metrics?format=prometheus` or an
@@ -32,8 +25,7 @@
 
 use crate::http::{HttpError, Request, Response};
 use crate::json::{self, Field, Json};
-use crate::store::{AppState, IngestOutcome};
-use geoalign_agg::AggState;
+use crate::store::AppState;
 use geoalign_core::{CoreError, ReferenceData};
 use geoalign_obs::{expo, Registry};
 use geoalign_partition::{AggregateVector, DisaggregationMatrix, UnitIndex};
@@ -44,9 +36,9 @@ const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
 /// Dispatches one request to its handler. Never panics; every failure
 /// becomes a JSON error response.
 pub fn route(state: &AppState, req: &Request) -> Response {
-    // An installed override (the cluster coordinator's scatter/gather
-    // front end, a standby's promotion gate) answers first; `None`
-    // falls through to the built-in routes below.
+    // An installed override (the cluster coordinator's router, a
+    // standby's promotion gate) answers first; `None` falls through to
+    // the built-in routes below.
     if let Some(intercept) = state.route_override() {
         if let Some(resp) = intercept(req) {
             return resp;
@@ -62,8 +54,6 @@ pub fn route(state: &AppState, req: &Request) -> Response {
         ("POST", "/systems") => post_systems(state, req),
         ("POST", "/references") => post_references(state, req),
         ("POST", "/ingest") => post_ingest(state, req),
-        ("POST", "/ingest/partial") => post_ingest_partial(state, req),
-        ("POST", "/ingest/state") => post_ingest_state(state, req),
         ("POST", "/crosswalk") => post_crosswalk(state, req),
         ("POST", "/checkpoint") => post_checkpoint(state),
         ("GET", "/healthz") => Ok(get_healthz(state)),
@@ -71,11 +61,9 @@ pub fn route(state: &AppState, req: &Request) -> Response {
         ("GET", "/replica/manifest") => get_replica_manifest(state),
         ("GET", "/replica/segment") => get_replica_segment(state, req),
         ("GET", "/replica/snapshot") => get_replica_snapshot(state),
-        (
-            _,
-            "/systems" | "/references" | "/ingest" | "/ingest/partial" | "/ingest/state"
-            | "/crosswalk" | "/checkpoint",
-        ) => Ok(method_not_allowed(&req.method, "POST")),
+        (_, "/systems" | "/references" | "/ingest" | "/crosswalk" | "/checkpoint") => {
+            Ok(method_not_allowed(&req.method, "POST"))
+        }
         (
             _,
             "/healthz" | "/metrics" | "/replica/manifest" | "/replica/segment"
@@ -287,47 +275,10 @@ fn post_references(state: &AppState, req: &Request) -> Result<Response, HttpErro
 /// all-or-nothing.
 fn post_ingest(state: &AppState, req: &Request) -> Result<Response, HttpError> {
     let doc = parse_body(state, req)?;
-    let batch = parse_ingest_batch(state, &doc)?;
-    state
-        .metrics
-        .ingest_batch_points
-        .record_value(batch.total as u64);
-    let outcome = state
-        .ingest(
-            batch.source,
-            batch.target,
-            batch.attribute,
-            &batch.points,
-            batch.unknown,
-        )
-        .map_err(|e| core_error(&e))?;
-    Ok(ingest_response(
-        batch.attribute,
-        batch.source,
-        batch.target,
-        &outcome,
-    ))
-}
-
-/// A parsed, unit-resolved `/ingest`-shaped body: located index triples
-/// plus the count of points that named unknown units.
-struct IngestBatch<'a> {
-    source: &'a str,
-    target: &'a str,
-    attribute: &'a str,
-    points: Vec<(usize, usize, f64)>,
-    unknown: u64,
-    total: usize,
-}
-
-/// Parses and validates an `/ingest` (or `/ingest/partial`) body,
-/// resolving unit names to indices. Shared so a scattered sub-batch goes
-/// through exactly the validation one big batch would.
-fn parse_ingest_batch<'a>(state: &AppState, doc: &'a Json) -> Result<IngestBatch<'a>, HttpError> {
-    let source = str_field(doc, "source")?;
-    let target = str_field(doc, "target")?;
-    let attribute = str_field(doc, "attribute")?;
-    let entries = array_field(doc, "points")?;
+    let source = str_field(&doc, "source")?;
+    let target = str_field(&doc, "target")?;
+    let attribute = str_field(&doc, "attribute")?;
+    let entries = array_field(&doc, "points")?;
     if entries.is_empty() {
         return Err(HttpError::bad_request("'points' must not be empty"));
     }
@@ -362,26 +313,17 @@ fn parse_ingest_batch<'a>(state: &AppState, doc: &'a Json) -> Result<IngestBatch
             _ => unknown += 1,
         }
     }
-    Ok(IngestBatch {
-        source,
-        target,
-        attribute,
-        points,
-        unknown,
-        total: entries.len(),
-    })
-}
+    // `ingest` takes the pipeline write lock.
+    drop(pipeline);
 
-/// The `/ingest` response shape, shared with `/ingest/state` so a
-/// coordinator-gathered fold answers byte-identically to the single-node
-/// path.
-fn ingest_response(
-    attribute: &str,
-    source: &str,
-    target: &str,
-    outcome: &IngestOutcome,
-) -> Response {
-    Response::json(
+    state
+        .metrics
+        .ingest_batch_points
+        .record_value(entries.len() as u64);
+    let outcome = state
+        .ingest(source, target, attribute, &points, unknown)
+        .map_err(|e| core_error(&e))?;
+    Ok(Response::json(
         Json::object([
             ("ingested", Json::from(attribute)),
             ("pair", Json::from(format!("{source}->{target}"))),
@@ -398,92 +340,7 @@ fn ingest_response(
         ])
         .to_string()
         .into_bytes(),
-    )
-}
-
-/// `POST /ingest/partial` — the stateless half of a scattered ingest:
-/// same body as `/ingest`, but instead of folding, the batch's mergeable
-/// superaccumulator state comes back hex-encoded for the coordinator to
-/// merge with sibling partials. Nothing is mutated; any shard that knows
-/// the pair's unit systems computes the same bytes.
-fn post_ingest_partial(state: &AppState, req: &Request) -> Result<Response, HttpError> {
-    let doc = parse_body(state, req)?;
-    let batch = parse_ingest_batch(state, &doc)?;
-    state
-        .metrics
-        .ingest_batch_points
-        .record_value(batch.total as u64);
-    let agg = state
-        .ingest_partial(
-            batch.source,
-            batch.target,
-            batch.attribute,
-            &batch.points,
-            batch.unknown,
-        )
-        .map_err(|e| core_error(&e))?;
-    Ok(Response::json(
-        Json::object([
-            (
-                "pair",
-                Json::from(format!("{}->{}", batch.source, batch.target)),
-            ),
-            ("attribute", Json::from(batch.attribute)),
-            ("absorbed", Json::Number(agg.count() as f64)),
-            ("skipped", Json::Number(agg.skipped() as f64)),
-            ("state", Json::from(hex_encode(&agg.encode()))),
-        ])
-        .to_string()
-        .into_bytes(),
     ))
-}
-
-/// `POST /ingest/state` — body
-/// `{"source": ..., "target": ..., "attribute": ..., "state": "<hex>"}`:
-/// folds an already-merged batch state into the pair's streaming
-/// reference. Because the superaccumulator merge is split-invariant,
-/// folding a merged run of `/ingest/partial` states here is
-/// bit-identical to one `/ingest` of the concatenated points — the
-/// response is the ordinary `/ingest` shape.
-fn post_ingest_state(state: &AppState, req: &Request) -> Result<Response, HttpError> {
-    let doc = parse_body(state, req)?;
-    let source = str_field(&doc, "source")?;
-    let target = str_field(&doc, "target")?;
-    let attribute = str_field(&doc, "attribute")?;
-    let hex = str_field(&doc, "state")?;
-    let bytes = hex_decode(hex)
-        .ok_or_else(|| HttpError::bad_request("'state' must be an even-length hex string"))?;
-    let batch = AggState::decode(&bytes)
-        .map_err(|e| HttpError::bad_request(format!("undecodable ingest state: {e}")))?;
-    let outcome = state
-        .ingest_state(source, target, attribute, batch)
-        .map_err(|e| core_error(&e))?;
-    Ok(ingest_response(attribute, source, target, &outcome))
-}
-
-/// Lowercase hex of `bytes` (wire form of an encoded ingest state).
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push(char::from_digit(u32::from(b >> 4), 16).unwrap_or('0'));
-        out.push(char::from_digit(u32::from(b & 0xf), 16).unwrap_or('0'));
-    }
-    out
-}
-
-/// Inverse of [`hex_encode`]; `None` on odd length or a non-hex digit.
-fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    let digits = s.as_bytes();
-    let mut out = Vec::with_capacity(s.len() / 2);
-    for pair in digits.chunks_exact(2) {
-        let hi = (pair[0] as char).to_digit(16)?;
-        let lo = (pair[1] as char).to_digit(16)?;
-        out.push(((hi << 4) | lo) as u8);
-    }
-    Some(out)
 }
 
 /// `POST /crosswalk` — body
@@ -1223,19 +1080,13 @@ mod tests {
         // /ingest resolves through the same index.
         let body = r#"{"source":"zip","target":"county","attribute":"pop",
             "points":[["z3","B",1],["z2","A",1]]}"#;
-        let r = route(&state, &request("POST", "/ingest/partial", body));
+        let r = route(&state, &request("POST", "/ingest", body));
         assert_eq!(r.status, 200, "{:?}", String::from_utf8_lossy(&r.body));
-        let hex = body_json(&r)
-            .get("state")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .to_owned();
-        let partial = AggState::decode(&hex_decode(&hex).unwrap()).unwrap();
-        let mut want = AggState::new("pop", 3, 2).unwrap();
-        want.absorb(2, 1, 1.0).unwrap();
-        want.absorb(1, 0, 1.0).unwrap();
-        assert_eq!(partial.encode(), want.encode());
+        assert_eq!(body_json(&r).get("absorbed").unwrap().as_f64(), Some(2.0));
+        let pipeline = state.pipeline();
+        let streamed = &pipeline.references("zip", "county")[1];
+        let entries: Vec<(usize, usize, f64)> = streamed.dm().matrix().iter().collect();
+        assert_eq!(entries, [(1, 0, 1.0), (2, 1, 1.0)]);
     }
 
     #[test]
@@ -1438,85 +1289,6 @@ mod tests {
         let r = route(&state, &request("GET", "/metrics", ""));
         assert_eq!(r.status, 200);
         assert!(body_json(&r).get("request_latency").is_some());
-    }
-
-    #[test]
-    fn scattered_ingest_is_byte_identical_to_one_batch() {
-        let oracle = state_with_world();
-        let sharded = state_with_world();
-        let full = r#"{"source":"zip","target":"county","attribute":"pop",
-            "points":[["z1","A",2.5],["z2","A",1.25],["z2","B",0.75],["nope","B",9],["z3","B",4.5]]}"#;
-        let oracle_resp = route(&oracle, &request("POST", "/ingest", full));
-        assert_eq!(oracle_resp.status, 200);
-
-        // Scatter the same batch as two partials, merge the states in
-        // slice order, fold once — the /ingest/state response and every
-        // later /crosswalk must be byte-identical to the oracle's.
-        let first = r#"{"source":"zip","target":"county","attribute":"pop",
-            "points":[["z1","A",2.5],["z2","A",1.25]]}"#;
-        let second = r#"{"source":"zip","target":"county","attribute":"pop",
-            "points":[["z2","B",0.75],["nope","B",9],["z3","B",4.5]]}"#;
-        let mut states = Vec::new();
-        for body in [first, second] {
-            let r = route(&sharded, &request("POST", "/ingest/partial", body));
-            assert_eq!(r.status, 200, "{:?}", String::from_utf8_lossy(&r.body));
-            let doc = body_json(&r);
-            let hex = doc.get("state").unwrap().as_str().unwrap().to_owned();
-            states.push(AggState::decode(&hex_decode(&hex).unwrap()).unwrap());
-        }
-        // Partials leave the pipeline untouched.
-        assert_eq!(sharded.pipeline().reference_count("zip", "county"), 1);
-        let mut merged = states.remove(0);
-        merged.merge(&states.remove(0)).unwrap();
-        let fold = format!(
-            r#"{{"source":"zip","target":"county","attribute":"pop","state":"{}"}}"#,
-            hex_encode(&merged.encode())
-        );
-        let sharded_resp = route(&sharded, &request("POST", "/ingest/state", &fold));
-        assert_eq!(
-            sharded_resp.status,
-            200,
-            "{:?}",
-            String::from_utf8_lossy(&sharded_resp.body)
-        );
-        assert_eq!(oracle_resp.body, sharded_resp.body);
-
-        let query = r#"{"source":"zip","target":"county",
-            "attributes":[{"name":"steam","values":[10,20,30]}]}"#;
-        let a = route(&oracle, &request("POST", "/crosswalk", query));
-        let b = route(&sharded, &request("POST", "/crosswalk", query));
-        assert_eq!(a.status, 200, "{:?}", String::from_utf8_lossy(&a.body));
-        assert_eq!(a.body, b.body);
-    }
-
-    #[test]
-    fn ingest_state_rejects_mismatched_dimensions_and_bad_hex() {
-        let state = state_with_world();
-        let alien = AggState::new("pop", 5, 7).unwrap();
-        let fold = format!(
-            r#"{{"source":"zip","target":"county","attribute":"pop","state":"{}"}}"#,
-            hex_encode(&alien.encode())
-        );
-        let r = route(&state, &request("POST", "/ingest/state", &fold));
-        assert_eq!(r.status, 400, "{:?}", String::from_utf8_lossy(&r.body));
-        let r = route(
-            &state,
-            &request(
-                "POST",
-                "/ingest/state",
-                r#"{"source":"zip","target":"county","attribute":"pop","state":"zz"}"#,
-            ),
-        );
-        assert_eq!(r.status, 400);
-        let r = route(
-            &state,
-            &request(
-                "POST",
-                "/ingest/state",
-                r#"{"source":"zip","target":"county","attribute":"pop","state":"abc"}"#,
-            ),
-        );
-        assert_eq!(r.status, 400);
     }
 
     #[test]

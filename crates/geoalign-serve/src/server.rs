@@ -284,14 +284,10 @@ fn handle_request(
             spans,
         });
     }
-    let mut bytes = Vec::with_capacity(512);
-    response
-        .write_to(&mut bytes)
-        .expect("serializing to a Vec cannot fail");
     completions.push(Completion {
         token,
         gen,
-        bytes,
+        bytes: response.to_bytes(),
         close,
     });
 }

@@ -430,25 +430,6 @@ impl AppState {
         unknown: u64,
     ) -> Result<IngestOutcome, CoreError> {
         let mut pipeline = self.pipeline_mut();
-        let batch = Self::locate_batch(&pipeline, source, target, attribute, points, unknown)?;
-        self.fold_state_locked(&mut pipeline, source, target, attribute, batch)
-    }
-
-    /// Builds the mergeable [`AggState`] for one batch of pre-located
-    /// points without touching any registry — the stateless half of
-    /// [`Self::ingest`]. Any shard that knows the pair's unit systems
-    /// computes the same state bit for bit, which is what lets the
-    /// cluster coordinator scatter a large `/ingest` batch over sibling
-    /// shards via `/ingest/partial` and fold the merged result at the
-    /// pair's owner.
-    fn locate_batch(
-        pipeline: &IntegrationPipeline,
-        source: &str,
-        target: &str,
-        attribute: &str,
-        points: &[(usize, usize, f64)],
-        unknown: u64,
-    ) -> Result<AggState, CoreError> {
         let n_source = pipeline.unit_ids(source)?.len();
         let n_target = pipeline.unit_ids(target)?.len();
         let mut batch = AggState::new(attribute, n_source, n_target)
@@ -461,75 +442,13 @@ impl AppState {
         for _ in 0..unknown {
             batch.record_skipped();
         }
-        Ok(batch)
-    }
 
-    /// Absorbs one `/ingest/partial` batch into a fresh [`AggState`] and
-    /// returns it *without* folding — takes only the pipeline read lock.
-    /// The caller (the scatter path) merges partials from every shard and
-    /// folds the merged state once via [`Self::ingest_state`].
-    pub fn ingest_partial(
-        &self,
-        source: &str,
-        target: &str,
-        attribute: &str,
-        points: &[(usize, usize, f64)],
-        unknown: u64,
-    ) -> Result<AggState, CoreError> {
-        let pipeline = self.pipeline();
-        Self::locate_batch(&pipeline, source, target, attribute, points, unknown)
-    }
-
-    /// Folds an already-built batch state into the streaming reference
-    /// for `(source, target, attribute)` — the `/ingest/state` entry
-    /// point. Because [`AggState::merge`] is split-invariant, folding a
-    /// coordinator-merged run of partials here is bit-identical to
-    /// folding the concatenated points through [`Self::ingest`].
-    pub fn ingest_state(
-        &self,
-        source: &str,
-        target: &str,
-        attribute: &str,
-        batch: AggState,
-    ) -> Result<IngestOutcome, CoreError> {
-        let mut pipeline = self.pipeline_mut();
-        let n_source = pipeline.unit_ids(source)?.len();
-        let n_target = pipeline.unit_ids(target)?.len();
-        if batch.n_source() != n_source {
-            return Err(CoreError::SourceMismatch {
-                objective: batch.n_source(),
-                reference: n_source,
-                name: format!("ingest state {source} -> {target}"),
-            });
-        }
-        if batch.n_target() != n_target {
-            return Err(CoreError::TargetMismatch {
-                left: batch.n_target(),
-                right: n_target,
-                name: format!("ingest state {source} -> {target}"),
-            });
-        }
-        self.fold_state_locked(&mut pipeline, source, target, attribute, batch)
-    }
-
-    /// The stateful half of [`Self::ingest`]: folds `batch` into the
-    /// pair's slot under the already-held pipeline write lock, persists
-    /// the rollup, refreshes the cache, and reports the outcome.
-    fn fold_state_locked(
-        &self,
-        pipeline: &mut IntegrationPipeline,
-        source: &str,
-        target: &str,
-        attribute: &str,
-        batch: AggState,
-    ) -> Result<IngestOutcome, CoreError> {
         // The pair's cache key before the fold — the entry to refresh
         // incrementally and then invalidate.
         let old_key = pipeline
             .fingerprint(source, target)
             .map(|fp| CrosswalkKey::with_fingerprint(source, target, fp));
         let absorbed = batch.count();
-        let unknown = batch.skipped();
 
         let mut registry = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
         let slot_key = (source.to_owned(), target.to_owned(), attribute.to_owned());

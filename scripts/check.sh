@@ -243,7 +243,7 @@ echo "==> executor stress pass (GEOALIGN_THREADS=8)"
 # that a single-thread default would hide.
 GEOALIGN_THREADS=8 cargo test -q -p geoalign-exec
 
-echo "==> cluster scatter/gather + kill -9 failover pass (GEOALIGN_THREADS=8)"
+echo "==> cluster routing + kill -9 failover pass (GEOALIGN_THREADS=8)"
 # Three real shard processes with WAL-shipping standbys behind a
 # coordinator must answer byte-identically to a single node, including
 # after SIGKILL of a primary and promotion of its standby.
@@ -252,6 +252,11 @@ GEOALIGN_THREADS=8 cargo test -q -p geoalign-cli --test cluster
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
+
+echo "==> perfbench build (separate workspace over geoalign-serve's public API)"
+# perfbench links route, AppState::ingest, json::parse and RequestParser;
+# building it here catches an API change that would break the benchmark.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
 echo "==> ingest bench smoke (small universe)"
 # Exercises the incremental-vs-full fold comparison end to end, including
